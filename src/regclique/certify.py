@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
+import numpy as np
+
 from .construction import GroupParams, GroupElement, encode_vertex, validate_bijection
 from .cyclotomy import CyclotomicContext, cyclotomic_number, make_context
 from .errors import (
@@ -56,7 +58,11 @@ class Failure:
 
 
 def check_edge_regular(g: Graph):
-    """ErgParams when every edge sees the same common-neighbour count, else Failure."""
+    """ErgParams when every edge sees the same common-neighbour count, else Failure.
+
+    The failure witness is the lexicographically first edge whose count differs
+    from that of the first edge.
+    """
     k = g.is_regular()
     if k is None:
         u, v = g.irregularity_witness()
@@ -66,15 +72,17 @@ def check_edge_regular(g: Graph):
         )
     lam = None
     first_edge = None
-    for u, v in g.edges():
-        count = g.common_neighbours(u, v)
-        if lam is None:
-            lam, first_edge = count, (u, v)
-        elif count != lam:
-            return Failure(
-                detail=f"edge {first_edge} has {lam} common neighbours, edge {(u, v)} has {count}",
-                witness=(u, v),
-            )
+    for u in range(g.n):
+        for vs, counts in g.pair_counts(u, adjacent=True):
+            if lam is None:
+                lam, first_edge = int(counts[0]), (u, int(vs[0]))
+            differ = np.flatnonzero(counts != lam)
+            if differ.size:
+                v, count = int(vs[differ[0]]), int(counts[differ[0]])
+                return Failure(
+                    detail=f"edge {first_edge} has {lam} common neighbours, edge {(u, v)} has {count}",
+                    witness=(u, v),
+                )
     if lam is None:
         lam = 0  # edgeless regular graph: the condition is vacuous
     return ErgParams(n=g.n, k=k, lam=lam)
@@ -89,35 +97,36 @@ class SrgScan:
     scan: str  # "exhaustive" | "from_identity"
 
 
-def _mu_profile(g: Graph, scan: str):
-    found = {}
+def _mu_profile(g: Graph, scan: str) -> dict:
+    """mu -> the lexicographically smallest non-adjacent pair (u, v), u < v, with that count.
+
+    The exhaustive scan takes every source row u; from_identity takes u = 0 only.
+    """
     if scan == "exhaustive":
-        for u in range(g.n):
-            nbrs = set(g.neighbours(u))
-            for v in range(u + 1, g.n):
-                if v not in nbrs:
-                    mu = g.common_neighbours(u, v)
-                    if mu not in found:
-                        found[mu] = (u, v)
+        sources = range(g.n)
     elif scan == "from_identity":
-        nbrs = set(g.neighbours(0))
-        for v in range(1, g.n):
-            if v not in nbrs:
-                mu = g.common_neighbours(0, v)
-                if mu not in found:
-                    found[mu] = (0, v)
+        sources = (0,)
     else:
         raise ValueError(f"unknown scan strategy {scan!r}")
+    found = {}
+    for u in sources:
+        for vs, counts in g.pair_counts(u, adjacent=False):
+            for mu in np.flatnonzero(np.bincount(counts)).tolist():
+                if mu not in found:
+                    found[mu] = (u, int(vs[np.argmax(counts == mu)]))
     return found
 
 
-def check_strongly_regular(g: Graph, scan: str = "exhaustive") -> SrgScan:
+def check_strongly_regular(g: Graph, scan: str = "exhaustive", erg: ErgParams | None = None) -> SrgScan:
     """Scan non-adjacent pairs for the constancy of the mu parameter.
 
-    The from_identity scan is only conclusive for vertex-transitive graphs,
-    where every non-adjacent pair translates to one containing vertex 0.
+    `erg` is the graph's edge-regularity result when the caller already has it;
+    without it the lambda pass runs here. The from_identity scan is only
+    conclusive for vertex-transitive graphs, where every non-adjacent pair
+    translates to one containing vertex 0.
     """
-    erg = check_edge_regular(g)
+    if erg is None:
+        erg = check_edge_regular(g)
     if isinstance(erg, Failure):
         raise NotEdgeRegular(erg.detail)
     found = _mu_profile(g, scan)
@@ -159,22 +168,27 @@ def clique_nexus(g: Graph, clique) -> CliqueReport:
     clique = tuple(sorted(set(clique)))
     if len(clique) < 2:
         raise ValueError("a clique report needs at least two vertices")
-    mask = 0
     for v in clique:
         g.degree(v)  # bounds check
-        mask |= 1 << v
     if len(clique) == g.n:
         raise NoOutsideVertices("the clique covers every vertex")
-    for u in clique:
-        if (g.bitset(u) & mask).bit_count() != len(clique) - 1:
-            for v in clique:
-                if v != u and not g.has_edge(u, v):
-                    raise NotAClique(u, v)
-    counts = [(v, (g.bitset(v) & mask).bit_count()) for v in range(g.n) if not mask >> v & 1]
-    first_v, first = counts[0]
-    for v, c in counts:
-        if c != first:
-            return CliqueReport(clique, len(clique), None, ((first_v, first), (v, c)))
+    counts = g.adjacent_counts(clique)
+    members = np.array(clique)
+    short = np.flatnonzero(counts[members] != len(clique) - 1)
+    if short.size:
+        u = clique[short[0]]
+        for v in clique:
+            if v != u and not g.has_edge(u, v):
+                raise NotAClique(u, v)
+    outside = np.ones(g.n, dtype=bool)
+    outside[members] = False
+    vertices = np.flatnonzero(outside)
+    attached = counts[vertices]
+    first_v, first = int(vertices[0]), int(attached[0])
+    differ = np.flatnonzero(attached != first)
+    if differ.size:
+        i = differ[0]
+        return CliqueReport(clique, len(clique), None, ((first_v, first), (int(vertices[i]), int(attached[i]))))
     return CliqueReport(clique, len(clique), first, None)
 
 
@@ -247,16 +261,16 @@ def quotient_matrix(g: Graph, partition) -> QuotientMatrix:
     seen = [v for cell in cells for v in cell]
     if len(seen) != g.n or set(seen) != set(range(g.n)):
         raise NotAPartition("cells must be disjoint and cover every vertex")
-    masks = [sum(1 << v for v in cell) for cell in cells]
+    into = [g.adjacent_counts(cell) for cell in cells]  # into[j][x] = |N(x) & cell j|
     entries = []
     equitable = True
     for cell in cells:
         row = []
-        for mask in masks:
-            counts = [(g.bitset(x) & mask).bit_count() for x in cell]
-            if any(c != counts[0] for c in counts):
+        for counts_j in into:
+            counts = counts_j[list(cell)]
+            if (counts != counts[0]).any():
                 equitable = False
-            row.append(Fraction(sum(counts), len(cell)))
+            row.append(Fraction(int(counts.sum()), len(cell)))
         entries.append(tuple(row))
     return QuotientMatrix(cells=cells, entries=tuple(entries), equitable=equitable)
 
@@ -448,7 +462,7 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph, mu_scan: str = 
     if scan == "auto":
         scan = "exhaustive" if g.n <= MU_EXHAUSTIVE_LIMIT else "from_identity"
     if is_erg:
-        srg_scan = check_strongly_regular(g, scan=scan)
+        srg_scan = check_strongly_regular(g, scan=scan, erg=erg)
         verdict = srg_scan.verdict
         srg_summary = {
             "verdict": verdict,

@@ -8,6 +8,7 @@ identical flags produce byte-identical results.
 
 import argparse
 import sys
+from bisect import bisect_right
 
 from .certify import assemble_certificate
 from .construction import (
@@ -20,7 +21,7 @@ from .construction import (
     validate_bijection,
 )
 from .cyclotomy import cyclotomic_table, make_context
-from .errors import BadCongruence, RegcliqueError
+from .errors import BadCongruence, GraphTooLarge, RegcliqueError
 from .fields import build_field, find_primitive_element
 from .graphcore import Graph
 from .numtheory import prime_power_decompose, search_m2, search_m3
@@ -30,11 +31,24 @@ from .numtheory import prime_power_decompose, search_m2, search_m3
 # graph file formats
 
 
+def _write_edge_lines(g: Graph, fh, prefix: str, base: int) -> None:
+    """One `{prefix}u v` line per edge u < v (numbered from base), lexicographically ascending.
+
+    Lines are written a row at a time, so memory stays bounded by one row.
+    """
+    names = [str(v + base) for v in range(g.n)]
+    for u in range(g.n):
+        nbrs = g.neighbours(u)
+        upper = nbrs[bisect_right(nbrs, u) :]
+        if upper:
+            head = f"{prefix}{names[u]} "
+            fh.write(head + f"\n{head}".join([names[v] for v in upper]) + "\n")
+
+
 def write_dimacs(g: Graph, fh) -> None:
     """DIMACS edge format: `p edge N M`, then `e i j` with 1-based i < j."""
     fh.write(f"p edge {g.n} {g.m}\n")
-    for u, v in g.edges():
-        fh.write(f"e {u + 1} {v + 1}\n")
+    _write_edge_lines(g, fh, "e ", 1)
 
 
 def read_dimacs(fh) -> Graph:
@@ -61,8 +75,7 @@ def read_dimacs(fh) -> Graph:
 
 def write_edge_list(g: Graph, fh) -> None:
     """One `i j` line per edge, 0-based, i < j, lexicographically ascending."""
-    for u, v in g.edges():
-        fh.write(f"{u} {v}\n")
+    _write_edge_lines(g, fh, "", 0)
 
 
 def read_edge_list(fh, n: int) -> Graph:
@@ -177,7 +190,10 @@ def _resolve_construction(parser, args):
 
 def _build_graph(parser, args):
     gp, pi, variant = _resolve_construction(parser, args)
-    graph = build_cayley_graph(gp, generating_set(gp, pi))
+    try:
+        graph = build_cayley_graph(gp, generating_set(gp, pi))
+    except GraphTooLarge as exc:
+        parser.error(str(exc))
     return gp, pi, variant, graph
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVector
 from .fields import Field, PrimitiveData, dlog
-from .graphcore import Graph
+from .graphcore import Graph, check_footprint
 
 
 class GroupElement(NamedTuple):
@@ -198,7 +198,9 @@ def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     if witness is not None:
         raise AsymmetricGeneratingSet(witness)
 
+    generators = s.ordered()
     n = gp.n_vertices
+    check_footprint(n, n * len(generators))
     q = gp.q
     block = (1 << gp.m) * q
     idx = np.arange(n, dtype=np.int64)
@@ -209,10 +211,8 @@ def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     fidx_of_code[code_of_fidx] = np.arange(q)
     fcodes = code_of_fidx[idx % q]
 
-    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    rowidx = np.arange(n)
-    for e in s.ordered():
-        nbr = ((zs + e.z) % gp.l) * block + (vs ^ e.v) * q + fidx_of_code[gp.field.add_array(fcodes, e.f)]
-        np.bitwise_or.at(packed, (rowidx, nbr >> 3), np.uint8(1) << (nbr & 7).astype(np.uint8))
-    rows = (int.from_bytes(packed[u].tobytes(), "little") for u in range(n))
-    return Graph(rows, validate=False)
+    nbrs = np.empty((n, len(generators)), dtype=np.int32)
+    for j, e in enumerate(generators):
+        nbrs[:, j] = ((zs + e.z) % gp.l) * block + (vs ^ e.v) * q + fidx_of_code[gp.field.add_array(fcodes, e.f)]
+    nbrs.sort(axis=1)
+    return Graph(np.arange(0, n * len(generators) + 1, len(generators)), nbrs.ravel(), validate=False)

@@ -53,6 +53,10 @@ class EmptyGraph(RegcliqueError):
     pass
 
 
+class GraphTooLarge(RegcliqueError):
+    """Raised before building a graph whose footprint would not fit in memory."""
+
+
 class NotEdgeRegular(RegcliqueError):
     pass
 

@@ -192,7 +192,8 @@ class PrimitiveData:
     log: np.ndarray
 
 
-def _factorize(n: int) -> dict:
+def factorize(n: int) -> dict:
+    """{prime: exponent} for n >= 1, by trial division."""
     out = {}
     d = 2
     while d * d <= n:
@@ -225,7 +226,7 @@ def find_primitive_element(field: Field) -> PrimitiveData:
     """First element of multiplicative order q-1 in ascending code order (2, 3, ...)."""
     if field.q == 2:
         return _tables_for(field, 1)
-    factors = list(_factorize(field.q - 1))
+    factors = list(factorize(field.q - 1))
     for cand in range(2, field.q):
         if _has_full_order(field, cand, factors):
             return _tables_for(field, cand)
@@ -236,7 +237,7 @@ def primitive_data(field: Field, rho: int) -> PrimitiveData:
     """Tables for a caller-chosen primitive element (order is verified)."""
     field.check_element(rho)
     if field.q > 2:
-        factors = list(_factorize(field.q - 1))
+        factors = list(factorize(field.q - 1))
         if rho in (0, 1) or not _has_full_order(field, rho, factors):
             raise ValueError(f"{rho} is not a primitive element of GF({field.q})")
     elif rho != 1:
@@ -248,7 +249,7 @@ def all_primitive_elements(field: Field):
     """Codes of every primitive element, ascending."""
     if field.q == 2:
         return [1]
-    factors = list(_factorize(field.q - 1))
+    factors = list(factorize(field.q - 1))
     return [x for x in range(2, field.q) if _has_full_order(field, x, factors)]
 
 

@@ -9,7 +9,7 @@ from math import gcd, isqrt
 
 from .cyclotomy import make_context, cyclotomic_number
 from .errors import BadCongruence, NotCoprime
-from .fields import build_field, find_primitive_element, is_prime, primitive_data, all_primitive_elements
+from .fields import all_primitive_elements, build_field, factorize, find_primitive_element, is_prime, primitive_data
 
 __all__ = [
     "is_prime",
@@ -62,19 +62,6 @@ def prime_powers(limit: int):
     return out
 
 
-def _factorize(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def multiplicative_order(x: int, modulus: int) -> int:
     """Smallest k >= 1 with x**k = 1 mod modulus."""
     if modulus < 2:
@@ -84,9 +71,9 @@ def multiplicative_order(x: int, modulus: int) -> int:
         raise NotCoprime(f"{x} and {modulus} are not coprime")
     # group order: Euler phi from the factorization of the modulus
     t = 1
-    for p, e in _factorize(modulus).items():
+    for p, e in factorize(modulus).items():
         t *= (p - 1) * p ** (e - 1)
-    for p in _factorize(t):
+    for p in factorize(t):
         while t % p == 0 and pow(x, t // p, modulus) == 1:
             t //= p
     return t

@@ -33,6 +33,51 @@ def naive_edge_regular(adj):
     return (n, k, lams.pop() if lams else 0)
 
 
+def naive_lambda_failure(adj):
+    """(u, v, count) for the lexicographically first edge u < v whose common-neighbour
+    count differs from that of the first edge, or None when all edges agree."""
+    first = None
+    for u in range(len(adj)):
+        for v in sorted(adj[u]):
+            if v > u:
+                count = naive_common_neighbours(adj, u, v)
+                if first is None:
+                    first = count
+                elif count != first:
+                    return (u, v, count)
+    return None
+
+
+def naive_mu_witnesses(adj, sources=None):
+    """{mu: (u, v)}: the lexicographically smallest non-adjacent pair u < v with
+    each common-neighbour count, u ranging over `sources` (default: every vertex)."""
+    n = len(adj)
+    found = {}
+    for u in range(n) if sources is None else sources:
+        for v in range(u + 1, n):
+            if v not in adj[u]:
+                mu = naive_common_neighbours(adj, u, v)
+                if mu not in found:
+                    found[mu] = (u, v)
+    return found
+
+
+def naive_missing_edge(adj, vertices):
+    """The first (u, v), u before v in ascending order of the set, that is not an edge, or None."""
+    members = sorted(set(vertices))
+    for u in members:
+        for v in members:
+            if v != u and v not in adj[u]:
+                return (u, v)
+    return None
+
+
+def naive_attachments(adj, vertices):
+    """[(w, number of the vertices adjacent to w)] for every w outside the set, ascending."""
+    members = set(vertices)
+    return [(w, sum(1 for x in adj[w] if x in members)) for w in range(len(adj)) if w not in members]
+
+
 def naive_srg_verdict(adj):
     """("Complete", ()) | ("SRG", (mu,)) | ("NotSRG", mus) for an edge-regular graph."""
     n = len(adj)
@@ -64,6 +109,11 @@ def petersen_edges():
 
 def cycle_edges(n):
     return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+def circulant_edges(n, steps):
+    """The circulant graph on Z_n: i ~ i + s for every s in steps (regular, rarely edge-regular)."""
+    return n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps if s % n})
 
 
 def complete_edges(n):

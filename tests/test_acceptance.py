@@ -41,6 +41,8 @@ from reference import (
     hypercube_edges,
     naive_common_neighbours,
     naive_edge_regular,
+    naive_lambda_failure,
+    naive_mu_witnesses,
     naive_srg_verdict,
     petersen_edges,
     random_edges,
@@ -300,6 +302,9 @@ def test_criterion_9_oracle_equivalence():
             result = check_edge_regular(g)
             if naive is None:
                 assert isinstance(result, Failure)
+                failure = naive_lambda_failure(adj) if len({len(s) for s in adj}) == 1 else None
+                if failure is not None:
+                    assert result.witness == failure[:2]
                 with pytest.raises(NotEdgeRegular):
                     check_strongly_regular(g)
             else:
@@ -308,3 +313,5 @@ def test_criterion_9_oracle_equivalence():
                 scan = check_strongly_regular(g)
                 assert scan.verdict == verdict
                 assert scan.mu_values == mus
+                witnesses = naive_mu_witnesses(adj)
+                assert scan.witnesses == tuple((u, v, mu) for mu, (u, v) in sorted(witnesses.items()))

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from regclique.certify import (
     ErgParams,
     Failure,
+    _mu_profile,
     assemble_certificate,
     canonical_spread,
     check_edge_regular,
@@ -28,7 +30,18 @@ from regclique.errors import (
 from regclique.graphcore import Graph
 
 from conftest import cayley_instance
-from reference import complete_edges, cycle_edges
+from reference import (
+    circulant_edges,
+    complete_edges,
+    cycle_edges,
+    naive_attachments,
+    naive_edge_regular,
+    naive_lambda_failure,
+    naive_missing_edge,
+    naive_mu_witnesses,
+    random_edges,
+    to_sets,
+)
 
 
 def test_edge_regular_x1(x1):
@@ -87,6 +100,14 @@ def test_strongly_regular_requires_edge_regular():
         check_strongly_regular(star)
 
 
+def test_strongly_regular_reuses_given_lambda_pass(petersen):
+    erg = check_edge_regular(petersen)
+    assert check_strongly_regular(petersen, erg=erg) == check_strongly_regular(petersen)
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(NotEdgeRegular):
+        check_strongly_regular(star, erg=check_edge_regular(star))
+
+
 def test_identity_scan_matches_exhaustive_on_cayley(x1):
     _, _, _, g = x1
     exhaustive = check_strongly_regular(g, scan="exhaustive")
@@ -117,7 +138,7 @@ def test_clique_nexus_single_edge_not_regular(x1):
     assert report.nexus is None
     (v1, c1), (v2, c2) = report.witnesses
     assert c1 != c2
-    assert (g.bitset(v1) & sum(1 << v for v in edge)).bit_count() == c1
+    assert sum(g.has_edge(v1, v) for v in edge) == c1
 
 
 def test_clique_nexus_errors(x1):
@@ -288,3 +309,91 @@ def test_certificate_records_modulus_for_extension_fields():
     assert data["modulus"] == [1, 0, 1]
     assert data["p"] == 7 and data["a"] == 2 and data["q"] == 49
     assert (data["N"], data["k"], data["lambda"]) == (784, 63, 14)
+
+
+# ---------------------------------------------------------------------------
+# vectorised kernels against the naive references
+
+
+def _kernel_cases(seed):
+    """Random regular (circulant) and irregular graphs, from one to three bit words wide."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(25):
+        n = rng.randrange(5, 160)
+        steps = rng.sample(range(1, n // 2 + 1), rng.randrange(1, max(2, n // 5)))
+        cases.append(Graph.from_edges(*circulant_edges(n, steps)))
+        cases.append(Graph.from_edges(n, random_edges(n, rng.choice([0.1, 0.4, 0.8]), rng)))
+    return rng, cases
+
+
+def _block_sizes(g):
+    """The graph's own kernel block, then blocks small enough to split every row's pairs."""
+    yield g.block_rows
+    g.block_rows = 4
+    yield g.block_rows
+
+
+def test_lambda_kernel_matches_reference():
+    _, cases = _kernel_cases(2024)
+    failures = 0
+    for g in cases:
+        adj = to_sets(g)
+        regular = len({len(s) for s in adj}) == 1
+        failure = naive_lambda_failure(adj) if regular else None
+        failures += failure is not None
+        for _ in _block_sizes(g):
+            result = check_edge_regular(g)
+            if not regular:
+                u, v = result.witness
+                assert u == 0 and len(adj[v]) != len(adj[0])
+                assert all(len(adj[w]) == len(adj[0]) for w in range(v))
+            elif failure is None:
+                assert result == ErgParams(*naive_edge_regular(adj))
+            else:
+                assert isinstance(result, Failure)
+                assert result.witness == failure[:2]
+                assert result.detail.endswith(f"edge {failure[:2]} has {failure[2]}")
+    assert failures >= 5  # the witness path is exercised
+
+
+def test_mu_kernel_matches_reference():
+    _, cases = _kernel_cases(4711)
+    for g in cases:
+        adj = to_sets(g)
+        exhaustive = naive_mu_witnesses(adj)
+        from_identity = naive_mu_witnesses(adj, sources=(0,))
+        for _ in _block_sizes(g):
+            assert _mu_profile(g, "exhaustive") == exhaustive
+            assert _mu_profile(g, "from_identity") == from_identity
+
+
+def test_nexus_kernel_matches_reference():
+    rng, cases = _kernel_cases(1312)
+    for g in cases:
+        adj = to_sets(g)
+        for _ in range(4):
+            clique = [rng.randrange(g.n)]
+            for v in rng.sample(range(g.n), g.n):
+                if all(v in adj[c] for c in clique):
+                    clique.append(v)
+            if len(clique) < 2 or len(clique) == g.n:
+                continue
+            attached = naive_attachments(adj, clique)
+            report = clique_nexus(g, clique)
+            assert report.order == len(clique)
+            differing = [pair for pair in attached if pair[1] != attached[0][1]]
+            if differing:
+                assert report.nexus is None
+                assert report.witnesses == (attached[0], differing[0])
+            else:
+                assert report.nexus == attached[0][1]
+                assert report.witnesses is None
+        for _ in range(4):
+            subset = rng.sample(range(g.n), min(g.n - 1, rng.randrange(3, 7)))
+            missing = naive_missing_edge(adj, subset)
+            if missing is None:
+                continue
+            with pytest.raises(NotAClique) as info:
+                clique_nexus(g, subset)
+            assert info.value.witness == missing

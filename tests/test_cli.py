@@ -1,8 +1,16 @@
+import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import regclique
 from regclique.cli import main, read_dimacs, read_edge_list
+from regclique.graphcore import footprint_bytes
 
 
 def run_cli(capsys, *argv):
@@ -125,7 +133,7 @@ def test_export_dimacs_round_trip(capsys, tmp_path):
 
     _, _, _, original = cayley_instance(1, 2, 7, 1, (0, 1, 2))
     assert g.n == original.n
-    assert all(g.bitset(v) == original.bitset(v) for v in range(g.n))
+    assert all(g.neighbours(v) == original.neighbours(v) for v in range(g.n))
 
 
 def test_export_edges_round_trip(capsys, tmp_path):
@@ -177,3 +185,49 @@ def test_export_rejects_unknown_format(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["export", "--m", "2", "--q", "7", "--out", str(tmp_path / "g"), "--format", "gml"])
     assert info.value.code == 2
+
+
+# sha256 of each output file, recorded from the integer-bitset implementation
+# before the graph moved to packed uint64 bits and CSR arrays; any byte change fails
+GOLDEN_SHA256 = {
+    ("certify", "--m", "2", "--q", "7"): "932575d1cdde87072422c424e396a8bfeef852bee004025faa5f72f1d8804c55",
+    ("certify", "--m", "2", "--q", "13"): "58fb469d36e6e755770261a66db8270c2d2e642a777afd3684f63e315e2d9376",
+    ("certify", "--m", "3", "--q", "29", "--variant", "psi1"): "297f5851709d56096277289c51a739f7f77e47baf02850679136ab42981e0e8a",
+    ("export", "--m", "2", "--q", "7", "--format", "dimacs"): "ba2a70a3d9b283c791a889f89297213c0ed2c6060a0f0b1a4c797b25a6cab902",
+    ("export", "--m", "2", "--q", "7", "--format", "edges"): "afc3a8ab35ad5545f611117db340ac750e7df8253ca173b77729cda2bd707de5",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_outputs_match_recorded_bytes(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+def _limit_address_space():
+    # a safety net: should the guard ever let the build start, it fails here
+    # with MemoryError instead of exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_certify_refuses_graph_beyond_memory(tmp_path):
+    n = 4 * 112 * 1993  # m=2, l=112, q=1993: a search hit with N = 892,864
+    need = footprint_bytes(n, n * (4 * 112 - 2 + 1993))
+    if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2:
+        pytest.skip("this host could hold the graph")
+    out = tmp_path / "cert.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(regclique.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "regclique.cli", "certify", "--m", "2", "--q", "1993", "--l", "112", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"N = {n} vertices need about {need / 1e9:.1f} GB" in proc.stderr
+    assert not out.exists()

@@ -58,17 +58,20 @@ def test_common_neighbours_errors():
 
 def test_construction_rejects_bad_input():
     with pytest.raises(EmptyGraph):
-        Graph([])
+        Graph([0], [])
     with pytest.raises(SameVertex):
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(IndexOutOfRange):
         Graph.from_edges(3, [(0, 5)])
+    # CSR input: the neighbours of u are indices[indptr[u]:indptr[u + 1]]
     with pytest.raises(SameVertex):
-        Graph([0b001, 0b000])  # loop at vertex 0
+        Graph([0, 1, 1], [0])  # loop at vertex 0
     with pytest.raises(ValueError):
-        Graph([0b010, 0b000])  # one-directional edge
+        Graph([0, 1, 1], [1])  # one-directional edge
     with pytest.raises(IndexOutOfRange):
-        Graph([0b100, 0b000])  # bit beyond the vertex range
+        Graph([0, 1, 1], [2])  # neighbour beyond the vertex range
+    with pytest.raises(ValueError):
+        Graph([0, 2, 3, 4], [2, 1, 0, 0])  # row 0 not ascending
 
 
 def test_kernel_matches_naive_on_random_graphs():
