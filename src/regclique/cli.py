@@ -13,6 +13,7 @@ from bisect import bisect_right
 from .certify import assemble_certificate
 from .construction import (
     build_cayley_graph,
+    check_graph_fits,
     default_pi,
     generating_set,
     make_group,
@@ -21,7 +22,7 @@ from .construction import (
     validate_bijection,
 )
 from .cyclotomy import cyclotomic_table, make_context
-from .errors import BadCongruence, GraphTooLarge, RegcliqueError
+from .errors import BadCongruence, FieldTooLarge, GraphTooLarge, RegcliqueError
 from .fields import build_field, find_primitive_element
 from .graphcore import Graph
 from .numtheory import prime_power_decompose, search_m2, search_m3
@@ -183,9 +184,19 @@ def _resolve_construction(parser, args):
             f"q = {field.q} is not 1 mod {two_n}: the connection set would not be symmetric"
         )
     pi, variant = _resolve_pi(parser, args)
-    pd = find_primitive_element(field)
-    gp = make_group(args.l, args.m, field, pd)
+    try:  # before the field's tables, which are far smaller than the graph
+        check_graph_fits(args.l, args.m, field.q)
+    except GraphTooLarge as exc:
+        parser.error(str(exc))
+    gp = make_group(args.l, args.m, field, _primitive_element(parser, field))
     return gp, pi, variant
+
+
+def _primitive_element(parser, field):
+    try:
+        return find_primitive_element(field)
+    except FieldTooLarge as exc:
+        parser.error(str(exc))
 
 
 def _build_graph(parser, args):
@@ -243,7 +254,7 @@ def _cmd_cyclotab(parser, args) -> int:
     field = _resolve_field(parser, args)
     if args.n < 1:
         parser.error("n must be at least 1")
-    pd = find_primitive_element(field)
+    pd = _primitive_element(parser, field)
     try:
         ctx = make_context(field, pd, args.n)
     except BadCongruence as exc:

@@ -192,6 +192,16 @@ def decode_vertex(gp: GroupParams, index: int) -> GroupElement:
     return GroupElement(z, v, f)
 
 
+def check_graph_fits(l: int, m: int, q: int) -> None:
+    """Refuse a Cayley graph on Z_l + Z_2^m + F_q that would not fit in memory (GraphTooLarge).
+
+    It needs no field tables, so callers can run it before building them.
+    """
+    n = l * (1 << m) * q
+    # a connection set holds the l * 2^m - 1 elements (z, v, 0) plus q - 1 more
+    check_footprint(n, n * (l * (1 << m) + q - 2))
+
+
 def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     """Graph on the n_vertices group elements with u ~ w iff w - u in the set."""
     witness = symmetry_witness(gp, s)

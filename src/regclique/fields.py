@@ -5,13 +5,22 @@ with coefficient vector (c_0, ..., c_{a-1}) over Z_p is sum(c_i * p**i), so the
 prime-field case (a = 1) is plain residue arithmetic. All choices made during
 construction (modulus, primitive element) are deterministic so that repeated
 runs produce identical fields.
+
+The discrete-log tables of a primitive element rho are built by doubling:
+with exp[:n] = rho**0 .. rho**(n-1) known, exp[n:2n] is exp[:n] times rho**n,
+one vectorised multiplication by a single element, so a table takes about
+log2(q) numpy steps. Multiplying codes by y is multiplication by a fixed
+matrix over Z_p on their base-p digits (for a = 1, codes * y % p).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentZero, IndexOutOfRange, NotPrime, ZeroHasNoLog
+from .errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, ZeroHasNoLog
+from .graphcore import memory_limit
+
+TABLE_BLOCK = 1 << 12  # most codes one vectorised multiplication takes, bounding its temporaries
 
 
 def is_prime(n: int) -> bool:
@@ -210,15 +219,48 @@ def _has_full_order(field: Field, x: int, prime_factors) -> bool:
     return all(field.pow(x, (field.q - 1) // f) != 1 for f in prime_factors)
 
 
+def _mul_array(field: Field, codes: np.ndarray, y: int) -> np.ndarray:
+    """Vectorised product of an int64 array of codes with a single element y."""
+    p = field.p
+    if field.a == 1:
+        return codes * y % p
+    # column i holds the coefficients of x**i * y (x**i has code p**i), so the
+    # product's digits are this matrix times the digits of codes, mod p
+    powers = p ** np.arange(field.a, dtype=np.int64)
+    matrix = np.array([field.coeffs(field.mul(int(power), y)) for power in powers], dtype=np.int64).T
+    digits = codes // powers[:, None] % p
+    return powers @ (matrix @ digits % p)
+
+
+def _check_table_footprint(field: Field) -> None:
+    """Refuse tables that would not fit in memory or whose products would overflow int64."""
+    if field.a * field.p**2 >= 2**63:
+        raise FieldTooLarge(f"GF({field.q}) is too large for int64 table arithmetic (p = {field.p})")
+    need = 16 * field.q
+    limit = memory_limit()
+    if need > limit:
+        raise FieldTooLarge(
+            f"GF({field.q}) needs about {need / 1e9:.1f} GB for its exp/log tables, "
+            f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
+        )
+
+
 def _tables_for(field: Field, rho: int) -> PrimitiveData:
+    _check_table_footprint(field)
     q = field.q
     exp = np.empty(q - 1, dtype=np.int64)
-    x = 1
-    for j in range(q - 1):
-        exp[j] = x
-        x = field.mul(x, rho)
+    exp[0] = 1
+    n, step = 1, rho  # invariant: exp[:n] is filled and step = rho**n
+    while n < q - 1:
+        m = min(n, q - 1 - n)
+        for i in range(0, m, TABLE_BLOCK):
+            j = min(m, i + TABLE_BLOCK)
+            exp[n + i : n + j] = _mul_array(field, exp[i:j], step)
+        step = field.mul(step, step)
+        n += m
     log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(q - 1)
+    for i in range(0, q - 1, TABLE_BLOCK):
+        log[exp[i : i + TABLE_BLOCK]] = np.arange(i, min(q - 1, i + TABLE_BLOCK))
     return PrimitiveData(rho=rho, exp=exp, log=log)
 
 

@@ -26,10 +26,15 @@ def footprint_bytes(n: int, degree_sum: int) -> int:
     return n * ((n + 63) // 64) * 8 + degree_sum * 4 + (n + 1) * 8
 
 
+def memory_limit() -> int:
+    """Half of this host's physical memory: the most bytes one graph or one field's tables may take."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
 def check_footprint(n: int, degree_sum: int) -> None:
     """Refuse a graph whose footprint exceeds half of this host's physical memory."""
     need = footprint_bytes(n, degree_sum)
-    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    limit = memory_limit()
     if need > limit:
         raise GraphTooLarge(
             f"N = {n} vertices need about {need / 1e9:.1f} GB for the graph, "

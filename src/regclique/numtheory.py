@@ -55,10 +55,12 @@ def prime_power_decompose(q: int):
 def prime_powers(limit: int):
     """All (q, p, a) with q = p**a <= limit, ascending in q."""
     out = []
-    for q in range(2, limit + 1):
-        pp = prime_power_decompose(q)
-        if pp is not None:
-            out.append((q, pp[0], pp[1]))
+    for p in primes_up_to(limit):
+        q, a = p, 1
+        while q <= limit:
+            out.append((q, p, a))
+            q, a = q * p, a + 1
+    out.sort()
     return out
 
 

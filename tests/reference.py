@@ -1,7 +1,8 @@
 """Naive reference implementations used as independent oracles in tests.
 
-Everything here is deliberately written as plain nested loops over adjacency
-sets, with no shared code with the package kernels.
+Everything here is deliberately written as plain loops (over adjacency sets,
+or one scalar field multiplication at a time), with no shared code with the
+package kernels.
 """
 
 from itertools import combinations
@@ -10,6 +11,19 @@ from itertools import combinations
 def to_sets(graph):
     """Adjacency sets of a regclique Graph, extracted via the public API."""
     return [set(graph.neighbours(v)) for v in range(graph.n)]
+
+
+def naive_exp_table(field, rho):
+    """(exp, log) lists of GF(q) for rho: exp[j] = rho**j by q - 1 scalar multiplications,
+    log[x] the exponent of x with log[0] = -1."""
+    exp, x = [], 1
+    for _ in range(field.q - 1):
+        exp.append(x)
+        x = field.mul(x, rho)
+    log = [-1] * field.q
+    for j, x in enumerate(exp):
+        log[x] = j
+    return exp, log
 
 
 def naive_common_neighbours(adj, u, v):

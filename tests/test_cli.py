@@ -206,28 +206,84 @@ def test_outputs_match_recorded_bytes(capsys, tmp_path, argv):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
 
 
+# sha256 of stdout, recorded before the exp/log tables were built by doubling
+GOLDEN_STDOUT_SHA256 = {
+    ("search", "--m", "2", "--q-max", "2000"): "bbb055cff79dddd787dc758eb9ee0084df9a0ff9f53c9ee290d388c656ad4d2c",
+    ("search", "--m", "3", "--q-max", "3000"): "1c12a5b5201591bb696d1520ee03c04b219d05fa5e08794ff4c4abc62869f7a3",
+    ("cyclotab", "--q", "29", "--n", "7"): "3c4724cee0d74d3bc7decdbc2a64b70f5aab9d84ba119f24ace0c6d5f25bd807",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_stdout_matches_recorded_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
 def _limit_address_space():
-    # a safety net: should the guard ever let the build start, it fails here
-    # with MemoryError instead of exhausting the host
+    # a safety net: should a guard ever let the allocation start, it fails
+    # here with MemoryError instead of exhausting the host
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def test_certify_refuses_graph_beyond_memory(tmp_path):
-    n = 4 * 112 * 1993  # m=2, l=112, q=1993: a search hit with N = 892,864
-    need = footprint_bytes(n, n * (4 * 112 - 2 + 1993))
-    if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2:
-        pytest.skip("this host could hold the graph")
-    out = tmp_path / "cert.json"
+def _run_cli_limited(*argv):
+    """The CLI in a subprocess limited to 2 GB of address space."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(regclique.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "regclique.cli", "certify", "--m", "2", "--q", "1993", "--l", "112", "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "regclique.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         preexec_fn=_limit_address_space,
     )
+
+
+def _host_could_hold(nbytes):
+    return nbytes <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
+def test_certify_refuses_graph_beyond_memory(tmp_path):
+    n = 4 * 112 * 1993  # m=2, l=112, q=1993: a search hit with N = 892,864
+    need = footprint_bytes(n, n * (4 * 112 - 2 + 1993))
+    if _host_could_hold(need):
+        pytest.skip("this host could hold the graph")
+    out = tmp_path / "cert.json"
+    proc = _run_cli_limited("certify", "--m", "2", "--q", "1993", "--l", "112", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert f"N = {n} vertices need about {need / 1e9:.1f} GB" in proc.stderr
     assert not out.exists()
+
+
+BIG_PRIME = 2_100_000_127  # = 1 mod 6; its exp/log tables alone take 33.6 GB
+
+
+def test_certify_refuses_graph_before_building_field_tables(tmp_path):
+    n = 4 * BIG_PRIME
+    need = footprint_bytes(n, n * (4 - 2 + BIG_PRIME))
+    if _host_could_hold(16 * BIG_PRIME):
+        pytest.skip("this host could hold the field tables")
+    out = tmp_path / "cert.json"
+    proc = _run_cli_limited("certify", "--m", "2", "--q", str(BIG_PRIME), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"N = {n} vertices need about {need / 1e9:.1f} GB" in proc.stderr
+    assert not out.exists()
+
+
+def test_cyclotab_refuses_field_tables_beyond_memory():
+    if _host_could_hold(16 * BIG_PRIME):
+        pytest.skip("this host could hold the field tables")
+    proc = _run_cli_limited("cyclotab", "--q", str(BIG_PRIME), "--n", "3")
+    assert proc.returncode == 2, proc.stderr
+    assert f"GF({BIG_PRIME}) needs about {16 * BIG_PRIME / 1e9:.1f} GB for its exp/log tables" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cyclotab_refuses_field_beyond_int64_products():
+    p = 3_037_000_507  # the first prime with p**2 >= 2**63
+    proc = _run_cli_limited("cyclotab", "--q", str(p), "--n", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert f"GF({p}) is too large for int64 table arithmetic" in proc.stderr
+    assert proc.stdout == ""

@@ -1,9 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import naive_exp_table
+from regclique import fields
 from regclique.errors import ExponentZero, IndexOutOfRange, NotPrime, ZeroHasNoLog
 from regclique.fields import (
+    _mul_array,
     all_primitive_elements,
     build_field,
     dlog,
@@ -11,6 +17,7 @@ from regclique.fields import (
     is_prime,
     primitive_data,
 )
+from regclique.numtheory import prime_powers
 
 
 def test_is_prime_small():
@@ -155,3 +162,43 @@ def test_add_array_matches_scalar_add():
         for s in (0, 1, f.q - 1, f.q // 2):
             out = f.add_array(codes, s)
             assert [f.add(int(x), s) for x in codes] == list(out)
+
+
+def _assert_tables_match_naive(field, pd):
+    exp, log = naive_exp_table(field, pd.rho)
+    assert pd.exp.tolist() == exp
+    assert pd.log.tolist() == log
+
+
+def test_tables_match_naive_on_every_field_up_to_2000():
+    every_field = [build_field(p, a) for _, p, a in prime_powers(2000)]
+    assert {(f.p, f.a) for f in every_field} >= {(2, 10), (3, 6)}
+    for f in every_field:
+        _assert_tables_match_naive(f, find_primitive_element(f))
+
+
+@pytest.mark.parametrize("p,a", [(13, 1), (7, 2), (3, 3)])
+def test_tables_match_naive_for_every_primitive_element(p, a):
+    f = build_field(p, a)
+    for rho in all_primitive_elements(f):
+        _assert_tables_match_naive(f, primitive_data(f, rho))
+
+
+@pytest.mark.parametrize("p,a", [(1009, 1), (7, 2), (3, 5)])
+def test_tables_match_naive_when_split_into_blocks(monkeypatch, p, a):
+    monkeypatch.setattr(fields, "TABLE_BLOCK", 5)
+    f = build_field(p, a)
+    _assert_tables_match_naive(f, find_primitive_element(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pp=st.sampled_from(prime_powers(5000)), data=st.data())
+def test_array_arithmetic_matches_scalar(pp, data):
+    _, p, a = pp
+    f = build_field(p, a)
+    element = st.integers(0, f.q - 1)
+    codes = data.draw(st.lists(element, min_size=1, max_size=50))
+    y = data.draw(element)
+    array = np.array(codes, dtype=np.int64)
+    assert _mul_array(f, array, y).tolist() == [f.mul(x, y) for x in codes]
+    assert f.add_array(array, y).tolist() == [f.add(x, y) for x in codes]

@@ -36,6 +36,12 @@ def test_prime_powers_enumeration():
     assert all(p**a == q and is_prime(p) for q, p, a in prime_powers(100))
 
 
+def test_prime_powers_match_per_integer_decomposition():
+    for limit in (0, 1, 2, 3, 4, 5000):
+        expected = [(q, *prime_power_decompose(q)) for q in range(2, limit + 1) if prime_power_decompose(q)]
+        assert prime_powers(limit) == expected
+
+
 def test_multiplicative_order():
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(3, 7) == 6
