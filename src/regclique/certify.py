@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from .construction import GroupParams, GroupElement, encode_vertex, validate_bijection
+from .construction import GroupElement, GroupParams, encode_vertex, group_generators, translator, validate_bijection
 from .cyclotomy import CyclotomicContext, cyclotomic_number, make_context
 from .errors import (
     BadCongruence,
@@ -27,10 +27,7 @@ from .errors import (
     NotEdgeRegular,
     WrongN,
 )
-from .graphcore import Graph
-
-MU_EXHAUSTIVE_LIMIT = 2000  # above this, the scan walks outward from vertex 0
-
+from .graphcore import BLOCK_BYTES, Graph
 
 @dataclass(frozen=True)
 class ErgParams:
@@ -57,34 +54,78 @@ class Failure:
     witness: tuple
 
 
-def check_edge_regular(g: Graph):
-    """ErgParams when every edge sees the same common-neighbour count, else Failure.
+def _irregularity(g: Graph) -> Failure:
+    u, v = g.irregularity_witness()
+    return Failure(detail=f"degrees differ: deg({u})={g.degree(u)}, deg({v})={g.degree(v)}", witness=(u, v))
 
-    The failure witness is the lexicographically first edge whose count differs
-    from that of the first edge.
+
+def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
+    """None when translation by each of `group_generators(gp)` is an automorphism of g, else Failure.
+
+    The translations generate the group, which acts transitively on the
+    vertices, so passing proves g vertex-transitive: every lambda and mu value
+    then occurs at a pair (0, v). A translation perm is an automorphism of a
+    regular graph iff it maps each neighbour row onto the row of its image,
+    sort(perm[adj[u]]) == adj[perm[u]], checked in blocks of rows.
+    """
+    if g.n != gp.n_vertices:
+        detail = f"the graph has {g.n} vertices, the group {gp.n_vertices}"
+        return Failure(detail=detail, witness=(g.n, gp.n_vertices))
+    k = g.is_regular()
+    if k is None:
+        return _irregularity(g)
+    adj = g.indices.reshape(g.n, k)
+    step = max(1, BLOCK_BYTES // (8 * k))  # rows of int64 neighbour images gathered at once
+    translate = translator(gp)
+    for e in group_generators(gp):
+        perm = translate(e)
+        for r0 in range(0, g.n, step):
+            rows = slice(r0, r0 + step)
+            moved = np.sort(perm[adj[rows]], axis=1) != adj[perm[rows]]
+            bad = np.flatnonzero(moved.any(axis=1))
+            if bad.size:
+                u = r0 + int(bad[0])
+                return Failure(
+                    detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {int(perm[u])}",
+                    witness=(e, u),
+                )
+    return None
+
+
+def _pair_profile(g: Graph, sources, adjacent: bool) -> dict:
+    """count -> the lexicographically smallest pair (u, v), u < v, u in sources
+    (ascending; None for every vertex), that is (or is not) an edge with that
+    many common neighbours."""
+    found = {}
+    for u in range(g.n) if sources is None else sources:
+        for vs, counts in g.pair_counts(u, adjacent):
+            values, first = np.unique(counts, return_index=True)
+            for count, i in zip(values.tolist(), first.tolist()):
+                found.setdefault(count, (u, int(vs[i])))
+    return found
+
+
+def check_edge_regular(g: Graph, sources=None):
+    """ErgParams when every edge (u, v), u in sources, sees the same common-neighbour count, else Failure.
+
+    lambda is the count of the lexicographically first edge; the failure witness
+    is the first edge whose count differs from it. With sources=(0,) this
+    decides edge-regularity only for vertex-transitive graphs.
     """
     k = g.is_regular()
     if k is None:
-        u, v = g.irregularity_witness()
+        return _irregularity(g)
+    profile = _pair_profile(g, sources, adjacent=True)
+    if not profile:
+        return ErgParams(n=g.n, k=k, lam=0)  # edgeless regular graph: the condition is vacuous
+    lam, first_edge = min(profile.items(), key=lambda item: item[1])
+    deviant = [(pair, count) for count, pair in profile.items() if count != lam]
+    if deviant:
+        (u, v), count = min(deviant)
         return Failure(
-            detail=f"degrees differ: deg({u})={g.degree(u)}, deg({v})={g.degree(v)}",
+            detail=f"edge {first_edge} has {lam} common neighbours, edge {(u, v)} has {count}",
             witness=(u, v),
         )
-    lam = None
-    first_edge = None
-    for u in range(g.n):
-        for vs, counts in g.pair_counts(u, adjacent=True):
-            if lam is None:
-                lam, first_edge = int(counts[0]), (u, int(vs[0]))
-            differ = np.flatnonzero(counts != lam)
-            if differ.size:
-                v, count = int(vs[differ[0]]), int(counts[differ[0]])
-                return Failure(
-                    detail=f"edge {first_edge} has {lam} common neighbours, edge {(u, v)} has {count}",
-                    witness=(u, v),
-                )
-    if lam is None:
-        lam = 0  # edgeless regular graph: the condition is vacuous
     return ErgParams(n=g.n, k=k, lam=lam)
 
 
@@ -94,54 +135,37 @@ class SrgScan:
     params: SrgParams | None
     mu_values: tuple
     witnesses: tuple  # (u, v, mu) per distinct mu, lexicographically smallest
-    scan: str  # "exhaustive" | "from_identity"
 
 
-def _mu_profile(g: Graph, scan: str) -> dict:
-    """mu -> the lexicographically smallest non-adjacent pair (u, v), u < v, with that count.
-
-    The exhaustive scan takes every source row u; from_identity takes u = 0 only.
-    """
-    if scan == "exhaustive":
-        sources = range(g.n)
-    elif scan == "from_identity":
-        sources = (0,)
-    else:
-        raise ValueError(f"unknown scan strategy {scan!r}")
-    found = {}
-    for u in sources:
-        for vs, counts in g.pair_counts(u, adjacent=False):
-            for mu in np.flatnonzero(np.bincount(counts)).tolist():
-                if mu not in found:
-                    found[mu] = (u, int(vs[np.argmax(counts == mu)]))
-    return found
-
-
-def check_strongly_regular(g: Graph, scan: str = "exhaustive", erg: ErgParams | None = None) -> SrgScan:
-    """Scan non-adjacent pairs for the constancy of the mu parameter.
-
-    `erg` is the graph's edge-regularity result when the caller already has it;
-    without it the lambda pass runs here. The from_identity scan is only
-    conclusive for vertex-transitive graphs, where every non-adjacent pair
-    translates to one containing vertex 0.
-    """
-    if erg is None:
-        erg = check_edge_regular(g)
-    if isinstance(erg, Failure):
-        raise NotEdgeRegular(erg.detail)
-    found = _mu_profile(g, scan)
+def _srg_scan(g: Graph, erg, sources) -> SrgScan:
+    """The mu profile over sources, classified; any graph that is not edge-regular is NotSRG."""
+    found = _pair_profile(g, sources, adjacent=False)
     witnesses = tuple((u, v, mu) for mu, (u, v) in sorted(found.items()))
     mu_values = tuple(sorted(found))
+    if isinstance(erg, Failure) or len(found) > 1:
+        return SrgScan("NotSRG", None, mu_values, witnesses)
     if not found:
-        return SrgScan("Complete", None, (), (), scan)
-    if len(found) > 1:
-        return SrgScan("NotSRG", None, mu_values, witnesses, scan)
+        return SrgScan("Complete", None, (), ())
     mu = mu_values[0]
     disc = sqrt((erg.lam - mu) ** 2 + 4 * (erg.k - mu))
     theta1 = ((erg.lam - mu) + disc) / 2
     theta2 = ((erg.lam - mu) - disc) / 2
     params = SrgParams(n=erg.n, k=erg.k, lam=erg.lam, mu=mu, theta1=theta1, theta2=theta2)
-    return SrgScan("SRG", params, mu_values, witnesses, scan)
+    return SrgScan("SRG", params, mu_values, witnesses)
+
+
+def check_strongly_regular(g: Graph, erg: ErgParams | None = None, sources=None) -> SrgScan:
+    """Scan non-adjacent pairs (u, v), u in sources, for the constancy of the mu parameter.
+
+    `erg` is the graph's edge-regularity result when the caller already has it;
+    without it the lambda pass runs here over the same sources. With
+    sources=(0,) the scan is conclusive only for vertex-transitive graphs.
+    """
+    if erg is None:
+        erg = check_edge_regular(g, sources)
+    if isinstance(erg, Failure):
+        raise NotEdgeRegular(erg.detail)
+    return _srg_scan(g, erg, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +384,11 @@ class Certificate:
         return None
 
 
-def assemble_certificate(gp: GroupParams, pi, variant, g: Graph, mu_scan: str = "auto") -> Certificate:
+def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
     """Run every check on a graph built from (gp, pi) and collect the verdicts.
 
-    mu_scan: "auto" picks exhaustive for n <= MU_EXHAUSTIVE_LIMIT and the
-    outward-from-vertex-0 walk above it; either may be forced explicitly.
+    The first check proves g vertex-transitive; lambda and mu are then read
+    from the pairs (0, v) alone.
     """
     pi = validate_bijection(gp.m, pi)
     checks = []
@@ -374,9 +398,15 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph, mu_scan: str = 
 
     size = (1 << gp.m) * gp.l
     expected = ErgParams(n=gp.n_vertices, k=size - 2 + gp.q, lam=size - 2)
+    sources = (0,)
 
-    # 1. edge-regularity over all edges
-    erg = check_edge_regular(g)
+    # 0. the generating translations are automorphisms
+    moved = check_translations(gp, g)
+    passed = f"{len(group_generators(gp))} generating translations are automorphisms"
+    record("vertex_transitive", moved is None, moved.detail if moved else passed)
+
+    # 1. edge-regularity over the edges at vertex 0
+    erg = check_edge_regular(g, sources)
     is_erg = isinstance(erg, ErgParams)
     if is_erg:
         record("edge_regular", True, f"(N, k, lambda) = ({erg.n}, {erg.k}, {erg.lam})")
@@ -457,33 +487,18 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph, mu_scan: str = 
             f"(g, predicted, measured) = {pairs}" if not mismatches else f"mismatches {mismatches}",
         )
 
-    # 6. strong-regularity scan
-    scan = mu_scan
-    if scan == "auto":
-        scan = "exhaustive" if g.n <= MU_EXHAUSTIVE_LIMIT else "from_identity"
+    # 6. strong-regularity scan (a graph that is not edge-regular is NotSRG; its mu profile is kept)
+    srg_scan = check_strongly_regular(g, erg, sources) if is_erg else _srg_scan(g, erg, sources)
+    verdict = srg_scan.verdict
+    srg_summary = {
+        "verdict": verdict,
+        "mu_values": [int(x) for x in srg_scan.mu_values],
+        "witnesses": [[int(u), int(v), int(mu)] for u, v, mu in srg_scan.witnesses],
+    }
     if is_erg:
-        srg_scan = check_strongly_regular(g, scan=scan, erg=erg)
-        verdict = srg_scan.verdict
-        srg_summary = {
-            "verdict": verdict,
-            "mu_values": [int(x) for x in srg_scan.mu_values],
-            "witnesses": [[int(u), int(v), int(mu)] for u, v, mu in srg_scan.witnesses],
-            "scan": scan,
-        }
-        record(
-            "not_strongly_regular",
-            verdict == "NotSRG",
-            f"verdict {verdict}, mu values {list(srg_scan.mu_values)}",
-        )
+        detail = f"verdict {verdict}, mu values {list(srg_scan.mu_values)}"
+        record("not_strongly_regular", verdict == "NotSRG", detail)
     else:
-        profile = _mu_profile(g, scan)
-        verdict = "NotSRG"
-        srg_summary = {
-            "verdict": verdict,
-            "mu_values": [int(mu) for mu in sorted(profile)],
-            "witnesses": [[int(u), int(v), int(mu)] for mu, (u, v) in sorted(profile.items())],
-            "scan": scan,
-        }
         record("not_strongly_regular", True, "not edge-regular, hence not strongly regular")
 
     # 7. minimum order of a regular clique in a non-SRG graph

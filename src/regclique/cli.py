@@ -52,41 +52,9 @@ def write_dimacs(g: Graph, fh) -> None:
     _write_edge_lines(g, fh, "e ", 1)
 
 
-def read_dimacs(fh) -> Graph:
-    n = None
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            _, kind, ns, _ = line.split()
-            if kind != "edge":
-                raise ValueError(f"unsupported DIMACS problem type {kind!r}")
-            n = int(ns)
-        elif line.startswith("e"):
-            _, us, vs = line.split()
-            edges.append((int(us) - 1, int(vs) - 1))
-        else:
-            raise ValueError(f"unrecognised DIMACS line {line!r}")
-    if n is None:
-        raise ValueError("missing DIMACS problem line")
-    return Graph.from_edges(n, edges)
-
-
 def write_edge_list(g: Graph, fh) -> None:
     """One `i j` line per edge, 0-based, i < j, lexicographically ascending."""
     _write_edge_lines(g, fh, "", 0)
-
-
-def read_edge_list(fh, n: int) -> Graph:
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            us, vs = line.split()
-            edges.append((int(us), int(vs)))
-    return Graph.from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------

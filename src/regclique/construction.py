@@ -202,6 +202,33 @@ def check_graph_fits(l: int, m: int, q: int) -> None:
     check_footprint(n, n * (l * (1 << m) + q - 2))
 
 
+def group_generators(gp: GroupParams) -> list:
+    """Elements generating Z_l + Z_2^m + F_q: (1, 0, 0) when l > 1, the m unit
+    bit-vectors, and the field codes p^i (the monomials x^i) for i < a."""
+    cyclic = [GroupElement(1, 0, 0)] if gp.l > 1 else []
+    vectors = [GroupElement(0, 1 << i, 0) for i in range(gp.m)]
+    return cyclic + vectors + [GroupElement(0, 0, gp.field.p**i) for i in range(gp.field.a)]
+
+
+def translator(gp: GroupParams):
+    """The map e -> (index(u + e) for every vertex index u), as an int64 array.
+
+    The vertices are decoded once, so each translation is a few array operations.
+    """
+    q = gp.q
+    block = (1 << gp.m) * q
+    idx = np.arange(gp.n_vertices, dtype=np.int64)
+    zs = idx // block
+    vs = idx % block // q
+    fcodes = np.concatenate(([0], gp.pd.exp)).astype(np.int64)[idx % q]
+    fidx_of_code = gp.pd.log + 1  # log[0] = -1, so fidx(0) = 0
+
+    def translate(e: GroupElement) -> np.ndarray:
+        return ((zs + e.z) % gp.l) * block + (vs ^ e.v) * q + fidx_of_code[gp.field.add_array(fcodes, e.f)]
+
+    return translate
+
+
 def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     """Graph on the n_vertices group elements with u ~ w iff w - u in the set."""
     witness = symmetry_witness(gp, s)
@@ -211,18 +238,9 @@ def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     generators = s.ordered()
     n = gp.n_vertices
     check_footprint(n, n * len(generators))
-    q = gp.q
-    block = (1 << gp.m) * q
-    idx = np.arange(n, dtype=np.int64)
-    zs = idx // block
-    vs = idx % block // q
-    code_of_fidx = np.concatenate(([0], gp.pd.exp)).astype(np.int64)
-    fidx_of_code = np.empty(q, dtype=np.int64)
-    fidx_of_code[code_of_fidx] = np.arange(q)
-    fcodes = code_of_fidx[idx % q]
-
+    translate = translator(gp)
     nbrs = np.empty((n, len(generators)), dtype=np.int32)
     for j, e in enumerate(generators):
-        nbrs[:, j] = ((zs + e.z) % gp.l) * block + (vs ^ e.v) * q + fidx_of_code[gp.field.add_array(fcodes, e.f)]
+        nbrs[:, j] = translate(e)
     nbrs.sort(axis=1)
     return Graph(np.arange(0, n * len(generators) + 1, len(generators)), nbrs.ravel(), validate=False)

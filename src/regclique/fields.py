@@ -24,19 +24,8 @@ TABLE_BLOCK = 1 << 12  # most codes one vectorised multiplication takes, boundin
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (scope: n < 10**12)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    """Deterministic primality check by trial division (scope: n < 10**12)."""
+    return factorize(n) == {n: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +191,14 @@ class PrimitiveData:
 
 
 def factorize(n: int) -> dict:
-    """{prime: exponent} for n >= 1, by trial division."""
+    """{prime: exponent} for n >= 1 ({} below 2), by trial division by 2 and the odd numbers."""
     out = {}
     d = 2
     while d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

@@ -40,16 +40,8 @@ def primes_up_to(n: int) -> list:
 
 def prime_power_decompose(q: int):
     """(p, a) with q = p**a and p prime, or None when q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            a, rest = 0, q
-            while rest % p == 0:
-                rest //= p
-                a += 1
-            return (p, a) if rest == 1 else None
-    return (q, 1)
+    factors = factorize(q)
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 def prime_powers(limit: int):

@@ -5,6 +5,7 @@ or one scalar field multiplication at a time), with no shared code with the
 package kernels.
 """
 
+from collections import Counter
 from itertools import combinations
 
 
@@ -64,15 +65,17 @@ def naive_lambda_failure(adj):
 
 def naive_mu_witnesses(adj, sources=None):
     """{mu: (u, v)}: the lexicographically smallest non-adjacent pair u < v with
-    each common-neighbour count, u ranging over `sources` (default: every vertex)."""
+    each common-neighbour count, u ranging over `sources` (default: every vertex).
+
+    The counts from u come from counting its paths of length two, one Counter per u.
+    """
     n = len(adj)
     found = {}
     for u in range(n) if sources is None else sources:
+        two_paths = Counter(x for w in adj[u] for x in adj[w])
         for v in range(u + 1, n):
-            if v not in adj[u]:
-                mu = naive_common_neighbours(adj, u, v)
-                if mu not in found:
-                    found[mu] = (u, v)
+            if v not in adj[u] and two_paths[v] not in found:
+                found[two_paths[v]] = (u, v)
     return found
 
 

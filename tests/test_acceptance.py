@@ -91,7 +91,7 @@ def m3_certified():
         record.l, 3, record.p, record.a,
         psi1_table() if record.variant == "psi1" else psi2_table(),
     )
-    cert = assemble_certificate(gp, pi, record.variant, graph, mu_scan="from_identity")
+    cert = assemble_certificate(gp, pi, record.variant, graph)
     elapsed = perf_counter() - start
     return record, gp, pi, ctx, graph, cert, elapsed
 
@@ -212,7 +212,7 @@ def test_criterion_5_m3_instance(m3_certified):
         assert cert.passed
         assert (cert.n_vertices, cert.k, cert.lam) == (8 * record.q, record.q + 6, 6)
         assert cert.srg["verdict"] == "NotSRG"
-        assert cert.srg["scan"] == "from_identity"
+        assert cert.checks[0]["name"] == "vertex_transitive" and cert.checks[0]["pass"]
         print(f"  [scan + build + certificate in {elapsed:.1f}s]", flush=True)
         assert elapsed < 300.0
 

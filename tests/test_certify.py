@@ -8,11 +8,12 @@ import pytest
 from regclique.certify import (
     ErgParams,
     Failure,
-    _mu_profile,
+    _pair_profile,
     assemble_certificate,
     canonical_spread,
     check_edge_regular,
     check_strongly_regular,
+    check_translations,
     clique_nexus,
     eigenvalues_2x2,
     predicted_local_valencies,
@@ -27,6 +28,7 @@ from regclique.errors import (
     NotAPartition,
     NotEdgeRegular,
 )
+from regclique.construction import group_generators, psi1_table, psi2_table, translator
 from regclique.graphcore import Graph
 
 from conftest import cayley_instance
@@ -35,6 +37,7 @@ from reference import (
     complete_edges,
     cycle_edges,
     naive_attachments,
+    naive_common_neighbours,
     naive_edge_regular,
     naive_lambda_failure,
     naive_missing_edge,
@@ -108,12 +111,93 @@ def test_strongly_regular_reuses_given_lambda_pass(petersen):
         check_strongly_regular(star, erg=check_edge_regular(star))
 
 
-def test_identity_scan_matches_exhaustive_on_cayley(x1):
-    _, _, _, g = x1
-    exhaustive = check_strongly_regular(g, scan="exhaustive")
-    from_zero = check_strongly_regular(g, scan="from_identity")
-    assert exhaustive.mu_values == from_zero.mu_values
-    assert from_zero.witnesses == ((0, 9, 2), (0, 1, 3), (0, 10, 4))
+# (l, m, p, a, pi): every search hit with N <= 2000 (m=2: q <= 79, m=3: q <= 127),
+# the failing instances l=2 q=7, GF(49) l=1, q=13 l=3, GF(25) l=2 and q=29 psi2,
+# GF(25) at l=1, and GF(27) through m=1 (one class: every nonzero field element)
+SMALL_CAYLEY = [
+    (1, 2, 7, 1, (0, 1, 2)),
+    (1, 2, 13, 1, (0, 1, 2)),
+    (2, 2, 19, 1, (0, 1, 2)),
+    (2, 2, 37, 1, (0, 1, 2)),
+    (4, 2, 7, 2, (0, 1, 2)),
+    (4, 2, 61, 1, (0, 1, 2)),
+    (4, 2, 67, 1, (0, 1, 2)),
+    (5, 2, 73, 1, (0, 1, 2)),
+    (4, 2, 79, 1, (0, 1, 2)),
+    (1, 3, 29, 1, psi1_table()),
+    (1, 3, 43, 1, psi2_table()),
+    (1, 3, 71, 1, psi2_table()),
+    (1, 3, 127, 1, psi1_table()),
+    (2, 2, 7, 1, (0, 1, 2)),
+    (1, 2, 7, 2, (0, 1, 2)),
+    (3, 2, 13, 1, (0, 1, 2)),
+    (2, 2, 5, 2, (0, 1, 2)),
+    (1, 3, 29, 1, psi2_table()),
+    (1, 2, 5, 2, (0, 1, 2)),
+    (1, 1, 3, 3, (0,)),
+    (2, 1, 3, 3, (0,)),
+]
+
+
+@pytest.mark.parametrize("l,m,p,a,pi", SMALL_CAYLEY, ids=lambda x: str(x) if isinstance(x, int) else "pi")
+def test_certificate_from_vertex_0_matches_exhaustive_oracles(l, m, p, a, pi):
+    gp, pi, _, g = cayley_instance(l, m, p, a, pi)
+    cert = assemble_certificate(gp, pi, None, g)
+    assert cert.checks[0]["name"] == "vertex_transitive" and cert.checks[0]["pass"]
+    adj = to_sets(g)
+    first_edge = (0, min(adj[0]))
+    lam = naive_common_neighbours(adj, *first_edge)
+    failure = naive_lambda_failure(adj)
+    edge_check = cert.checks[1]
+    assert edge_check["name"] == "edge_regular"
+    if failure is None:
+        assert edge_check["pass"] and cert.lam == lam
+    else:
+        u, v, count = failure
+        assert cert.lam is None
+        assert edge_check["detail"] == f"edge {first_edge} has {lam} common neighbours, edge {(u, v)} has {count}"
+    witnesses = naive_mu_witnesses(adj)
+    assert cert.srg["mu_values"] == sorted(witnesses)
+    assert cert.srg["witnesses"] == [[u, v, mu] for mu, (u, v) in sorted(witnesses.items())]
+
+
+def _two_switch(g):
+    """A degree-preserving 2-switch: edges ab, cd become ac, bd (the first such choice)."""
+    for a, b in g.edges():
+        for c, d in g.edges():
+            if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+                edges = set(g.edges()) - {(a, b), (c, d)} | {tuple(sorted(e)) for e in ((a, c), (b, d))}
+                return Graph.from_edges(g.n, edges)
+    raise AssertionError("no 2-switch")
+
+
+def test_two_switch_fails_vertex_transitivity(x1):
+    gp, pi, _, g = x1
+    switched = _two_switch(g)
+    assert switched.is_regular() == g.is_regular()
+    cert = assemble_certificate(gp, pi, None, switched)
+    assert not cert.passed
+    assert cert.first_failure() == "vertex_transitive"
+    failure = check_translations(gp, switched)
+    assert cert.checks[0]["detail"] == failure.detail
+    e, u = failure.witness
+    assert e in group_generators(gp)
+    perm = translator(gp)(e)
+    image = sorted(perm[list(switched.neighbours(u))].tolist())
+    assert image != list(switched.neighbours(int(perm[u])))
+
+
+def test_translations_report_irregular_graph(x1):
+    gp, pi, _, g = x1
+    edges = list(g.edges())[1:]
+    irregular = Graph.from_edges(g.n, edges)
+    failure = check_translations(gp, irregular)
+    assert failure.detail.startswith("degrees differ")
+    cert = assemble_certificate(gp, pi, None, irregular)
+    assert cert.first_failure() == "vertex_transitive"
+    assert check_translations(gp, g) is None
+    larger = check_translations(gp, Graph.from_edges(g.n + 1, g.edges()))
+    assert larger.detail == "the graph has 29 vertices, the group 28"
 
 
 def test_canonical_spread_x1(x1):
@@ -278,7 +362,8 @@ def test_certificate_json_contract(x1):
         "N", "k", "lambda", "edge_regular", "spread", "srg", "checks", "pass",
     ]
     assert list(data["spread"].keys()) == ["count", "order", "nexus"]
-    assert list(data["srg"].keys())[:3] == ["verdict", "mu_values", "witnesses"]
+    assert list(data["srg"].keys()) == ["verdict", "mu_values", "witnesses"]
+    assert data["checks"][0]["name"] == "vertex_transitive"
     assert data["modulus"] is None
     assert data["rho"] == 3
     assert data["pi"] == [0, 1, 2]
@@ -287,17 +372,18 @@ def test_certificate_json_contract(x1):
 
 
 def test_certificate_m3_with_larger_clique():
-    # q = 197 has c(1,5) = 5, so l = 4: cliques of order 32, and the
-    # 6304-vertex size routes the scan outward from vertex 0 automatically
-    from regclique.construction import psi1_table
-
+    # q = 197 has c(1,5) = 5, so l = 4: cliques of order 32
     gp, pi, _, g = cayley_instance(4, 3, 197, 1, psi1_table())
     cert = assemble_certificate(gp, pi, "psi1", g)
     assert cert.passed
     assert (cert.n_vertices, cert.k, cert.lam) == (6304, 227, 30)
     assert cert.spread == {"count": 197, "order": 32, "nexus": 1}
     assert cert.srg["verdict"] == "NotSRG"
-    assert cert.srg["scan"] == "from_identity"
+    assert cert.checks[0] == {
+        "name": "vertex_transitive",
+        "pass": True,
+        "detail": "5 generating translations are automorphisms",
+    }
 
 
 def test_certificate_records_modulus_for_extension_fields():
@@ -364,8 +450,8 @@ def test_mu_kernel_matches_reference():
         exhaustive = naive_mu_witnesses(adj)
         from_identity = naive_mu_witnesses(adj, sources=(0,))
         for _ in _block_sizes(g):
-            assert _mu_profile(g, "exhaustive") == exhaustive
-            assert _mu_profile(g, "from_identity") == from_identity
+            assert _pair_profile(g, None, adjacent=False) == exhaustive
+            assert _pair_profile(g, (0,), adjacent=False) == from_identity
 
 
 def test_nexus_kernel_matches_reference():

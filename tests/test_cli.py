@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import regclique
-from regclique.cli import main, read_dimacs, read_edge_list
+from regclique.cli import main
 from regclique.graphcore import footprint_bytes
 
 
@@ -116,7 +116,7 @@ def test_build_summary_line(capsys):
     assert out == "N=28 k=9 M=126\n"
 
 
-def test_export_dimacs_round_trip(capsys, tmp_path):
+def test_export_dimacs_round_trip(capsys, tmp_path, x1):
     path = tmp_path / "x1.dimacs"
     code, _, _ = run_cli(capsys, "export", "--m", "2", "--q", "7", "--out", str(path), "--format", "dimacs")
     assert code == 0
@@ -124,27 +124,17 @@ def test_export_dimacs_round_trip(capsys, tmp_path):
     assert lines[0] == "p edge 28 126"
     assert len(lines) == 127
     assert all(line.startswith("e ") for line in lines[1:])
-    us = [tuple(map(int, line.split()[1:])) for line in lines[1:]]
-    assert us == sorted(us)
-    assert all(u < v for u, v in us)
-    with open(path) as fh:
-        g = read_dimacs(fh)
-    from conftest import cayley_instance
-
-    _, _, _, original = cayley_instance(1, 2, 7, 1, (0, 1, 2))
-    assert g.n == original.n
-    assert all(g.neighbours(v) == original.neighbours(v) for v in range(g.n))
+    edges = [tuple(int(x) - 1 for x in line.split()[1:]) for line in lines[1:]]
+    assert edges == list(x1[3].edges())
 
 
-def test_export_edges_round_trip(capsys, tmp_path):
+def test_export_edges_round_trip(capsys, tmp_path, x1):
     path = tmp_path / "x1.edges"
     code, _, _ = run_cli(capsys, "export", "--m", "2", "--q", "7", "--out", str(path), "--format", "edges")
     assert code == 0
-    first = path.read_text().splitlines()[0]
-    assert first == "0 7"  # the smallest encoded connection-set element
-    with open(path) as fh:
-        g = read_edge_list(fh, 28)
-    assert g.n == 28 and g.m == 126
+    lines = path.read_text().splitlines()
+    assert lines[0] == "0 7"  # the smallest encoded connection-set element
+    assert [tuple(map(int, line.split())) for line in lines] == list(x1[3].edges())
 
 
 def test_cyclotab_q7_n3(capsys):
@@ -187,12 +177,15 @@ def test_export_rejects_unknown_format(capsys, tmp_path):
     assert info.value.code == 2
 
 
-# sha256 of each output file, recorded from the integer-bitset implementation
-# before the graph moved to packed uint64 bits and CSR arrays; any byte change fails
+# sha256 of each output file; any byte change fails. The exports were recorded
+# from the integer-bitset implementation before the graph moved to packed uint64
+# bits and CSR arrays. The certificates were re-recorded when the vertex_transitive
+# check was added, after checking that each equals the earlier bytes with
+# srg.scan dropped and that check prepended.
 GOLDEN_SHA256 = {
-    ("certify", "--m", "2", "--q", "7"): "932575d1cdde87072422c424e396a8bfeef852bee004025faa5f72f1d8804c55",
-    ("certify", "--m", "2", "--q", "13"): "58fb469d36e6e755770261a66db8270c2d2e642a777afd3684f63e315e2d9376",
-    ("certify", "--m", "3", "--q", "29", "--variant", "psi1"): "297f5851709d56096277289c51a739f7f77e47baf02850679136ab42981e0e8a",
+    ("certify", "--m", "2", "--q", "7"): "23993f6d571ad5de9d315fc28ad085e8a4dd7c189e6b0a6212cedb847ff9218c",
+    ("certify", "--m", "2", "--q", "13"): "be77d27aaeac8b7a10bec1f5536627896503a98b6fed10261c7e48d8ef9eb47f",
+    ("certify", "--m", "3", "--q", "29", "--variant", "psi1"): "cc7979c8776b420fc68d8adab604aa0532db54404d6099d97b59501c08e1d3bd",
     ("export", "--m", "2", "--q", "7", "--format", "dimacs"): "ba2a70a3d9b283c791a889f89297213c0ed2c6060a0f0b1a4c797b25a6cab902",
     ("export", "--m", "2", "--q", "7", "--format", "edges"): "afc3a8ab35ad5545f611117db340ac750e7df8253ca173b77729cda2bd707de5",
 }

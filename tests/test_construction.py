@@ -1,6 +1,9 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regclique.construction import (
     GroupElement,
@@ -9,6 +12,7 @@ from regclique.construction import (
     default_pi,
     encode_vertex,
     generating_set,
+    group_generators,
     make_group,
     phi,
     psi1,
@@ -18,6 +22,7 @@ from regclique.construction import (
     sigma_minus,
     sigma_plus,
     symmetry_witness,
+    translator,
     validate_bijection,
     weight,
 )
@@ -141,6 +146,40 @@ def test_graph_adjacency_matches_group_difference(x1):
         for w in range(graph.n):
             diff = gp.add(decode_vertex(gp, w), gp.neg(eu))
             assert graph.has_edge(u, w) == (diff in s.elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l=st.integers(2, 5),
+    m=st.integers(1, 3),
+    pa=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (2, 4)]),
+    data=st.data(),
+)
+def test_translator_matches_group_addition(l, m, pa, data):
+    gp = group(l, m, *pa)
+    translate = translator(gp)
+    vertex = st.integers(0, gp.n_vertices - 1)
+    for _ in range(5):
+        e = decode_vertex(gp, data.draw(vertex))
+        u = data.draw(vertex)
+        assert translate(e)[u] == encode_vertex(gp, gp.add(decode_vertex(gp, u), e))
+    # the translations by the generators reach every vertex from 0
+    reached = np.zeros(gp.n_vertices, dtype=bool)
+    reached[0] = True
+    perms = [translate(e) for e in group_generators(gp)]
+    while True:
+        grown = reached.copy()
+        for perm in perms:
+            grown[perm[reached]] = True
+        if (grown == reached).all():
+            break
+        reached = grown
+    assert reached.all()
+
+
+def test_group_generators_x1_and_gf49():
+    assert group_generators(group(1, 2, 7)) == [(0, 1, 0), (0, 2, 0), (0, 0, 1)]
+    assert group_generators(group(3, 1, 7, 2)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 7)]
 
 
 def test_m3_graph_shape(m3_29):
