@@ -27,7 +27,10 @@ from .errors import (
     NotEdgeRegular,
     WrongN,
 )
-from .graphcore import BLOCK_BYTES, Graph
+from .graphcore import Graph
+
+BLOCK_BYTES = 1 << 18  # bound on the bytes of neighbour images check_translations gathers at once
+
 
 @dataclass(frozen=True)
 class ErgParams:
@@ -66,7 +69,7 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     vertices, so passing proves g vertex-transitive: every lambda and mu value
     then occurs at a pair (0, v). A translation perm is an automorphism of a
     regular graph iff it maps each neighbour row onto the row of its image,
-    sort(perm[adj[u]]) == adj[perm[u]], checked in blocks of rows.
+    sort(perm[adj[u]]) == adj[perm[u]], checked on int32 images in blocks of rows.
     """
     if g.n != gp.n_vertices:
         detail = f"the graph has {g.n} vertices, the group {gp.n_vertices}"
@@ -75,10 +78,10 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     if k is None:
         return _irregularity(g)
     adj = g.indices.reshape(g.n, k)
-    step = max(1, BLOCK_BYTES // (8 * k))  # rows of int64 neighbour images gathered at once
+    step = max(1, BLOCK_BYTES // (4 * k))
     translate = translator(gp)
     for e in group_generators(gp):
-        perm = translate(e)
+        perm = translate(e).astype(np.int32)
         for r0 in range(0, g.n, step):
             rows = slice(r0, r0 + step)
             moved = np.sort(perm[adj[rows]], axis=1) != adj[perm[rows]]
@@ -98,10 +101,10 @@ def _pair_profile(g: Graph, sources, adjacent: bool) -> dict:
     many common neighbours."""
     found = {}
     for u in range(g.n) if sources is None else sources:
-        for vs, counts in g.pair_counts(u, adjacent):
-            values, first = np.unique(counts, return_index=True)
-            for count, i in zip(values.tolist(), first.tolist()):
-                found.setdefault(count, (u, int(vs[i])))
+        vs, counts = g.pair_counts(u, adjacent)
+        values, first = np.unique(counts, return_index=True)
+        for count, i in zip(values.tolist(), first.tolist()):
+            found.setdefault(count, (u, int(vs[i])))
     return found
 
 

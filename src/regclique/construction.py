@@ -182,16 +182,6 @@ def encode_vertex(gp: GroupParams, e: GroupElement) -> int:
     return e.z * ((1 << gp.m) * gp.q) + e.v * gp.q + fidx
 
 
-def decode_vertex(gp: GroupParams, index: int) -> GroupElement:
-    if not 0 <= index < gp.n_vertices:
-        raise IndexOutOfRange(f"vertex index {index} not in [0, {gp.n_vertices})")
-    block = (1 << gp.m) * gp.q
-    z, rest = divmod(index, block)
-    v, fidx = divmod(rest, gp.q)
-    f = 0 if fidx == 0 else int(gp.pd.exp[fidx - 1])
-    return GroupElement(z, v, f)
-
-
 def check_graph_fits(l: int, m: int, q: int) -> None:
     """Refuse a Cayley graph on Z_l + Z_2^m + F_q that would not fit in memory (GraphTooLarge).
 

@@ -42,13 +42,6 @@ def class_index(ctx: CyclotomicContext, x: int) -> int:
     return dlog(ctx.pd, x) % ctx.n
 
 
-def cyclotomic_class(ctx: CyclotomicContext, i: int) -> frozenset:
-    """All (q-1)/n elements whose discrete log is congruent to i mod n."""
-    if not 0 <= i < ctx.n:
-        raise IndexOutOfRange(f"class index {i} not in [0, {ctx.n})")
-    return frozenset(int(x) for x in ctx.pd.exp[i::ctx.n])
-
-
 def _plus_one(ctx: CyclotomicContext, codes: np.ndarray) -> np.ndarray:
     # adding the field element 1 only touches coefficient 0 of the code
     f = ctx.field

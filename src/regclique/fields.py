@@ -150,11 +150,6 @@ class Field:
             k >>= 1
         return r
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(x, self.q - 2)
-
     def add_array(self, codes: np.ndarray, s: int) -> np.ndarray:
         """Vectorized addition of a single element s to an array of codes."""
         if self.a == 1:

@@ -1,13 +1,11 @@
-"""Immutable graph held as a packed bit matrix plus sorted CSR neighbour arrays.
+"""Immutable graph held as sorted CSR neighbour arrays.
 
-Row u of the `(n, ceil(n/64))` uint64 matrix `bits` has bit v of word v // 64
-set iff u ~ v, so common-neighbour counts over many pairs are one gather, one
-AND and one popcount (`np.bitwise_count`) per bounded block of rows. The CSR
-arrays (`indptr`, and `indices` with each row ascending) list the neighbours
-themselves, for enumeration and for counting attachments to a vertex set.
-
-Every kernel works on blocks of at most `BLOCK_BYTES` of gathered bit rows,
-so its temporaries stay small whatever the size of the graph.
+The neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, ascending
+(`int32`). Every common-neighbour count comes from one kernel,
+`adjacent_counts`: one `np.bincount` over the concatenated neighbour lists of
+a vertex set. Over the neighbours of u it gives |N(u) & N(w)| for every w at
+once, from k^2 entries for a graph of degree k, so the graph takes N·k·4
+bytes plus a few arrays of N entries.
 """
 
 import os
@@ -18,12 +16,15 @@ import numpy as np
 
 from .errors import EmptyGraph, GraphTooLarge, IndexOutOfRange, SameVertex
 
-BLOCK_BYTES = 1 << 18  # bound on the bytes of bit rows a kernel gathers at once
+# Bytes per vertex besides the CSR indices while a Cayley graph is built and
+# certified: indptr and degrees, the build's decoded coordinates and images,
+# the N-entry temporaries of a scan from one vertex, the spread's vertex lists
+VERTEX_BYTES = 192
 
 
 def footprint_bytes(n: int, degree_sum: int) -> int:
-    """Bytes held by a graph on n vertices: bit matrix, int32 CSR indices, int64 indptr."""
-    return n * ((n + 63) // 64) * 8 + degree_sum * 4 + (n + 1) * 8
+    """Bytes a graph on n vertices takes to build and certify: int32 CSR indices plus VERTEX_BYTES per vertex."""
+    return degree_sum * 4 + n * VERTEX_BYTES
 
 
 def memory_limit() -> int:
@@ -42,23 +43,10 @@ def check_footprint(n: int, degree_sum: int) -> None:
         )
 
 
-def _pack(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """The packed bit matrix of CSR rows, set through bool rows a bounded block at a time."""
-    words = (n + 63) // 64
-    bits = np.empty((n, words), dtype=np.uint64)
-    step = max(1, BLOCK_BYTES // (words * 64))
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
-        dense = np.zeros((r1 - r0, words * 64), dtype=bool)
-        dense[np.repeat(np.arange(r1 - r0), np.diff(indptr[r0 : r1 + 1])), indices[indptr[r0] : indptr[r1]]] = True
-        bits[r0:r1] = np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
-    return bits
-
-
 class Graph:
     """Undirected graph on {0, ..., n-1}, immutable after construction."""
 
-    __slots__ = ("n", "m", "bits", "indptr", "indices", "degrees", "block_rows")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees")
 
     def __init__(self, indptr, indices, validate: bool = True):
         """Graph from CSR arrays: the neighbours of u are indices[indptr[u]:indptr[u + 1]], ascending."""
@@ -75,8 +63,6 @@ class Graph:
         self.indptr = indptr
         self.indices = indices
         self.degrees = degrees
-        self.bits = _pack(indptr, indices, n)
-        self.block_rows = max(1, BLOCK_BYTES // (8 * self.bits.shape[1]))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -96,18 +82,23 @@ class Graph:
         if not 0 <= v < self.n:
             raise IndexOutOfRange(f"vertex {v} not in [0, {self.n})")
 
+    def _row(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return int(self.degrees[v])
 
     def neighbours(self, v: int) -> tuple:
         self._check_vertex(v)
-        return tuple(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
+        return tuple(self._row(v).tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(int(self.bits[u, v >> 6]) >> (v & 63) & 1)
+        row = self._row(u)
+        i = int(np.searchsorted(row, v))
+        return i < len(row) and int(row[i]) == v
 
     def edges(self):
         """All edges (u, v) with u < v, lexicographically ascending."""
@@ -131,35 +122,30 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise SameVertex(f"common neighbours of {u} with itself")
-        return int(np.bitwise_count(self.bits[u] & self.bits[v]).sum())
-
-    def common_counts(self, u: int, vs) -> np.ndarray:
-        """|N(u) & N(v)| for each v in the index array vs; callers bound len(vs) by block_rows."""
-        rows = np.take(self.bits, vs, axis=0)  # a copy, so the AND can work in place
-        rows &= self.bits[u]
-        return np.bitwise_count(rows).sum(axis=-1, dtype=np.int32)
+        return len(np.intersect1d(self._row(u), self._row(v), assume_unique=True))
 
     def pair_counts(self, u: int, adjacent: bool):
-        """Yield (vs, counts): the v > u that are (or are not) adjacent to u, ascending,
-        in blocks of at most block_rows, with |N(u) & N(v)| for each."""
-        row = np.unpackbits(self.bits[u].view(np.uint8), bitorder="little")[: self.n]
-        others = np.flatnonzero(row[u + 1 :] == adjacent) + (u + 1)
-        for start in range(0, len(others), self.block_rows):
-            vs = others[start : start + self.block_rows]
-            yield vs, self.common_counts(u, vs)
+        """(vs, counts): the v > u that are (or are not) adjacent to u, ascending,
+        and |N(u) & N(v)| for each."""
+        row = self._row(u)
+        if adjacent:
+            vs = row[row > u]
+        else:
+            others = np.ones(self.n, dtype=bool)
+            others[: u + 1] = False
+            others[row] = False
+            vs = np.flatnonzero(others)
+        return vs, self.adjacent_counts(row)[vs]
 
     def adjacent_counts(self, vertices) -> np.ndarray:
         """For every vertex w, how many of `vertices` (distinct) are adjacent to w."""
-        nbrs = [self.indices[self.indptr[u] : self.indptr[u + 1]] for u in vertices]
-        return np.bincount(np.concatenate(nbrs), minlength=self.n)
+        rows = [self._row(u) for u in vertices]
+        return np.bincount(np.concatenate([np.empty(0, dtype=np.int32), *rows]), minlength=self.n)
 
     def neighbourhood_degree_multiset(self, v: int) -> Counter:
         """Multiset of within-neighbourhood degrees of the neighbours of v."""
         nbrs = np.array(self.neighbours(v), dtype=np.int64)
-        out = Counter()
-        for start in range(0, len(nbrs), self.block_rows):
-            out.update(self.common_counts(v, nbrs[start : start + self.block_rows]).tolist())
-        return out
+        return Counter(self.adjacent_counts(nbrs)[nbrs].tolist())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -8,6 +8,9 @@ package kernels.
 from collections import Counter
 from itertools import combinations
 
+from regclique.construction import GroupElement
+from regclique.errors import IndexOutOfRange
+
 
 def to_sets(graph):
     """Adjacency sets of a regclique Graph, extracted via the public API."""
@@ -25,6 +28,36 @@ def naive_exp_table(field, rho):
     for j, x in enumerate(exp):
         log[x] = j
     return exp, log
+
+
+def field_inv(field, x):
+    """The inverse of a nonzero x in GF(q), as x**(q - 2)."""
+    if x == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return field.pow(x, field.q - 2)
+
+
+def cyclotomic_class(ctx, i):
+    """All (q-1)/n elements rho**j with j = i mod n, by repeated multiplication by rho."""
+    if not 0 <= i < ctx.n:
+        raise IndexOutOfRange(f"class index {i} not in [0, {ctx.n})")
+    members, x = set(), 1
+    for j in range(ctx.field.q - 1):
+        if j % ctx.n == i:
+            members.add(x)
+        x = ctx.field.mul(x, ctx.pd.rho)
+    return frozenset(members)
+
+
+def decode_vertex(gp, index):
+    """The group element (z, v, f) with vertex index z*(2^m * q) + v*q + fidx(f),
+    fidx(0) = 0 and fidx(rho**j) = j + 1."""
+    if not 0 <= index < gp.n_vertices:
+        raise IndexOutOfRange(f"vertex index {index} not in [0, {gp.n_vertices})")
+    z, rest = divmod(index, (1 << gp.m) * gp.q)
+    v, fidx = divmod(rest, gp.q)
+    f = 0 if fidx == 0 else gp.field.pow(gp.pd.rho, fidx - 1)
+    return GroupElement(z, v, f)
 
 
 def naive_common_neighbours(adj, u, v):

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import regclique
+from regclique import graphcore
 from regclique.cli import main
+from regclique.construction import check_graph_fits
+from regclique.errors import GraphTooLarge
 from regclique.graphcore import footprint_bytes
 
 
@@ -248,6 +251,13 @@ def test_certify_refuses_graph_beyond_memory(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert f"N = {n} vertices need about {need / 1e9:.1f} GB" in proc.stderr
     assert not out.exists()
+
+
+def test_graph_guard_admits_csr_within_limit(monkeypatch):
+    monkeypatch.setattr(graphcore, "memory_limit", lambda: 10**9)
+    check_graph_fits(49, 2, 859)  # N = 168,364, k = 1,053: about 0.74 GB
+    with pytest.raises(GraphTooLarge, match="N = 209888 vertices need about 1.0 GB"):
+        check_graph_fits(56, 2, 937)  # a search hit just above 1 GB
 
 
 BIG_PRIME = 2_100_000_127  # = 1 mod 6; its exp/log tables alone take 33.6 GB

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from regclique.construction import (
     GroupElement,
     build_cayley_graph,
-    decode_vertex,
     default_pi,
     encode_vertex,
     generating_set,
@@ -30,6 +29,8 @@ from regclique.cyclotomy import cyclotomic_table, make_context
 from regclique.errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVector
 from regclique.fields import build_field, find_primitive_element
 from regclique.numtheory import prime_powers
+
+from reference import decode_vertex
 
 
 def group(l, m, p, a=1):

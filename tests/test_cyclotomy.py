@@ -4,7 +4,6 @@ import pytest
 from regclique.cyclotomy import (
     c3_parity_even,
     class_index,
-    cyclotomic_class,
     cyclotomic_number,
     cyclotomic_table,
     make_context,
@@ -12,6 +11,8 @@ from regclique.cyclotomy import (
 from regclique.errors import BadCongruence, IndexOutOfRange, WrongN, ZeroHasNoLog
 from regclique.fields import all_primitive_elements, build_field, find_primitive_element, primitive_data
 from regclique.numtheory import prime_powers
+
+from reference import cyclotomic_class
 
 
 def context(p, a, n):
