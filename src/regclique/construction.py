@@ -220,17 +220,47 @@ def translator(gp: GroupParams):
 
 
 def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
-    """Graph on the n_vertices group elements with u ~ w iff w - u in the set."""
+    """Graph on the n_vertices group elements with u ~ w iff w - u in the set.
+
+    The vertex index is block * q + fidx(f), with block = z * 2^m + v. The
+    elements of the set whose (z, v) part is block d join block b to block
+    b + d, field index i to the fidx(f + s) of their field parts s: one
+    (q, w_d) table of sorted field indices per d. The rows of block 0 are these
+    tables plus d * q, side by side in ascending d. The rows of block b take
+    the same columns in ascending order of target block b + d, so every row
+    comes out sorted and the N·k array is the only large one.
+    """
     witness = symmetry_witness(gp, s)
     if witness is not None:
         raise AsymmetricGeneratingSet(witness)
 
-    generators = s.ordered()
-    n = gp.n_vertices
-    check_footprint(n, n * len(generators))
-    translate = translator(gp)
-    nbrs = np.empty((n, len(generators)), dtype=np.int32)
-    for j, e in enumerate(generators):
-        nbrs[:, j] = translate(e)
-    nbrs.sort(axis=1)
-    return Graph(np.arange(0, n * len(generators) + 1, len(generators)), nbrs.ravel(), validate=False)
+    n, q, k = gp.n_vertices, gp.q, s.size
+    check_footprint(n, n * k)
+    vectors = 1 << gp.m
+    parts = {}
+    for e in s.elements:
+        parts.setdefault(e.z * vectors + e.v, []).append(e.f)
+    fcodes = np.concatenate(([0], gp.pd.exp))  # the code of each field index
+    fidx_of_code = gp.pd.log + 1  # log[0] = -1, so fidx(0) = 0
+    nbrs = np.empty((n, k), dtype=np.int32)
+    first = nbrs[:q]
+    col_block = np.empty(k, dtype=np.int64)
+    j = 0
+    for d in sorted(parts):
+        cols = first[:, j : j + len(parts[d])]
+        for c, f in enumerate(parts[d]):  # one column at a time keeps temporaries at q entries
+            cols[:, c] = fidx_of_code[gp.field.add_array(fcodes, f)]
+        cols.sort(axis=1)
+        cols += d * q
+        col_block[j : j + len(parts[d])] = d
+        j += len(parts[d])
+
+    col_z, col_v = np.divmod(col_block, vectors)
+    for b in range(1, gp.l * vectors):
+        z, v = divmod(b, vectors)
+        target = (z + col_z) % gp.l * vectors + (v ^ col_v)
+        order = np.argsort(target, kind="stable")
+        rows = nbrs[b * q : (b + 1) * q]
+        np.take(first, order, axis=1, out=rows)
+        rows += ((target - col_block)[order] * q).astype(np.int32)
+    return Graph(np.arange(0, n * k + 1, k), nbrs.ravel(), validate=False)

@@ -248,12 +248,18 @@ def _tables_for(field: Field, rho: int) -> PrimitiveData:
     return PrimitiveData(rho=rho, exp=exp, log=log)
 
 
+def _first_candidate(field: Field) -> int:
+    """The smallest code that can be primitive: 2, or p when a > 1, since the
+    codes below p form the prime subfield, whose orders divide p - 1 < q - 1."""
+    return field.p if field.a > 1 else 2
+
+
 def find_primitive_element(field: Field) -> PrimitiveData:
     """First element of multiplicative order q-1 in ascending code order (2, 3, ...)."""
     if field.q == 2:
         return _tables_for(field, 1)
     factors = list(factorize(field.q - 1))
-    for cand in range(2, field.q):
+    for cand in range(_first_candidate(field), field.q):
         if _has_full_order(field, cand, factors):
             return _tables_for(field, cand)
     raise AssertionError(f"no primitive element found in GF({field.q})")
@@ -276,7 +282,7 @@ def all_primitive_elements(field: Field):
     if field.q == 2:
         return [1]
     factors = list(factorize(field.q - 1))
-    return [x for x in range(2, field.q) if _has_full_order(field, x, factors)]
+    return [x for x in range(_first_candidate(field), field.q) if _has_full_order(field, x, factors)]
 
 
 def dlog(pd: PrimitiveData, x: int) -> int:

@@ -17,8 +17,9 @@ import numpy as np
 from .errors import EmptyGraph, GraphTooLarge, IndexOutOfRange, SameVertex
 
 # Bytes per vertex besides the CSR indices while a Cayley graph is built and
-# certified: indptr and degrees, the build's decoded coordinates and images,
-# the N-entry temporaries of a scan from one vertex, the spread's vertex lists
+# certified: indptr and degrees, the translation check's decoded coordinates
+# and images, the N-entry temporaries of a scan from one vertex, the spread's
+# vertex lists
 VERTEX_BYTES = 192
 
 

@@ -2,14 +2,19 @@
 
 Everything here is deliberately written as plain loops (over adjacency sets,
 or one scalar field multiplication at a time), with no shared code with the
-package kernels.
+package kernels. The exception is `naive_cayley_graph`, which translates every
+vertex through `construction.translator`, the translation check's own path
+(itself checked against group addition), not the block-by-block build.
 """
 
 from collections import Counter
 from itertools import combinations
 
-from regclique.construction import GroupElement
+import numpy as np
+
+from regclique.construction import GroupElement, translator
 from regclique.errors import IndexOutOfRange
+from regclique.graphcore import Graph
 
 
 def to_sets(graph):
@@ -177,3 +182,23 @@ def complete_bipartite_edges(r, s):
 def hypercube_edges(dim):
     n = 1 << dim
     return n, [(u, u ^ (1 << b)) for u in range(n) for b in range(dim) if u < u ^ (1 << b)]
+
+
+def naive_cayley_graph(gp, s):
+    """Cay(G, S) by translating every vertex by each element of S, then sorting each row."""
+    generators = s.ordered()
+    translate = translator(gp)
+    nbrs = np.empty((gp.n_vertices, len(generators)), dtype=np.int32)
+    for j, e in enumerate(generators):
+        nbrs[:, j] = translate(e)
+    nbrs.sort(axis=1)
+    return Graph(np.arange(0, nbrs.size + 1, len(generators)), nbrs.ravel(), validate=False)
+
+
+def naive_primitive_elements(field):
+    """Every code x >= 2 of GF(q), q > 2, ascending, with x**((q-1)/r) != 1 for each prime r dividing q - 1."""
+    q = field.q
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % d for d in range(2, r))]
+    for x in range(2, q):
+        if all(field.pow(x, (q - 1) // r) != 1 for r in primes):
+            yield x

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from regclique import certify
 from regclique.certify import (
     ErgParams,
     Failure,
@@ -23,6 +24,7 @@ from regclique.certify import (
 )
 from regclique.errors import (
     HypothesisViolated,
+    IndexOutOfRange,
     NoOutsideVertices,
     NotAClique,
     NotAPartition,
@@ -242,6 +244,9 @@ def test_clique_nexus_errors(x1):
         clique_nexus(g, [0, 1, 2])  # 0 and 1 differ by an element outside the connection set
     with pytest.raises(ValueError):
         clique_nexus(g, [0])
+    for clique, first_outside in (([0, 29, 28], 28), ([30, 0, -1], -1)):
+        with pytest.raises(IndexOutOfRange, match=f"vertex {first_outside} "):
+            clique_nexus(g, clique)
 
 
 def test_predicted_local_valencies_x1(x1):
@@ -344,6 +349,17 @@ def test_certificate_x1_passes(x1):
     t, rem = divmod(gp.q - 1, 2 * 1 + 1)
     assert rem == 0
     assert 2 != t + 1
+
+
+@pytest.mark.parametrize("edit", ["drop_last", "repeat_first"])
+def test_certificate_spread_must_partition_vertices(monkeypatch, x1, edit):
+    gp, pi, _, g = x1
+    spread = canonical_spread(gp)
+    spread = spread[:-1] if edit == "drop_last" else spread[:-1] + [spread[0]]
+    monkeypatch.setattr(certify, "canonical_spread", lambda _: spread)
+    cert = assemble_certificate(gp, pi, None, g)
+    check = next(c for c in cert.checks if c["name"] == "clique_spread")
+    assert check == {"name": "clique_spread", "pass": False, "detail": "cliques do not partition the vertex set"}
 
 
 def test_certificate_l2_fails_edge_regularity():

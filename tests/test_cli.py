@@ -191,6 +191,9 @@ GOLDEN_SHA256 = {
     ("certify", "--m", "3", "--q", "29", "--variant", "psi1"): "cc7979c8776b420fc68d8adab604aa0532db54404d6099d97b59501c08e1d3bd",
     ("export", "--m", "2", "--q", "7", "--format", "dimacs"): "ba2a70a3d9b283c791a889f89297213c0ed2c6060a0f0b1a4c797b25a6cab902",
     ("export", "--m", "2", "--q", "7", "--format", "edges"): "afc3a8ab35ad5545f611117db340ac750e7df8253ca173b77729cda2bd707de5",
+    # recorded from the per-element build, before rows were assembled block by block
+    ("export", "--m", "2", "--q", "49", "--l", "4"): "8a9d95bbd8679fccb166285aa0588b180c1f85907728bd8ab32e31dc7419fd0d",
+    ("export", "--m", "3", "--q", "29", "--variant", "psi1"): "2f8603969b430ef1bb3b42c9cdd56b6f3310c1d84ad9315e07feafdc3ec0d5c5",
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regclique.construction import (
+    GeneratingSet,
     GroupElement,
     build_cayley_graph,
     default_pi,
@@ -30,7 +31,7 @@ from regclique.errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVecto
 from regclique.fields import build_field, find_primitive_element
 from regclique.numtheory import prime_powers
 
-from reference import decode_vertex
+from reference import decode_vertex, naive_cayley_graph
 
 
 def group(l, m, p, a=1):
@@ -181,6 +182,68 @@ def test_translator_matches_group_addition(l, m, pa, data):
 def test_group_generators_x1_and_gf49():
     assert group_generators(group(1, 2, 7)) == [(0, 1, 0), (0, 2, 0), (0, 0, 1)]
     assert group_generators(group(3, 1, 7, 2)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 7)]
+
+
+def _assert_build_matches_naive(gp, s):
+    g, naive = build_cayley_graph(gp, s), naive_cayley_graph(gp, s)
+    assert np.array_equal(g.indptr, naive.indptr)
+    assert np.array_equal(g.indices, naive.indices)
+
+
+# (l, m, p, a, pi): every benchmark instance (the search hits with N <= 2000,
+# m=2 q=199 l=11, m=3 q=197 l=4), plus non-default bijections
+BUILD_CASES = [
+    *[(l, 2, q, 1, (0, 1, 2)) for q, l in ((7, 1), (13, 1), (19, 2), (37, 2), (61, 4), (67, 4), (73, 5), (79, 4))],
+    (11, 2, 199, 1, (0, 1, 2)),
+    (4, 2, 7, 2, (0, 1, 2)),
+    (1, 3, 29, 1, psi1_table()),
+    (1, 3, 43, 1, psi2_table()),
+    (1, 3, 71, 1, psi2_table()),
+    (1, 3, 127, 1, psi1_table()),
+    (4, 3, 197, 1, psi1_table()),
+    (3, 2, 13, 1, (2, 0, 1)),
+    (2, 3, 29, 1, (6, 5, 4, 3, 2, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("l,m,p,a,pi", BUILD_CASES)
+def test_build_matches_naive_on_benchmark_instances(l, m, p, a, pi):
+    gp = group(l, m, p, a)
+    _assert_build_matches_naive(gp, generating_set(gp, pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l=st.integers(2, 5),
+    m=st.integers(1, 3),
+    pa=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2), (3, 3)]),
+    data=st.data(),
+)
+def test_build_matches_naive_on_drawn_groups(l, m, pa, data):
+    gp = group(l, m, *pa)
+    s = generating_set(gp, data.draw(st.permutations(range((1 << m) - 1))))
+    if symmetry_witness(gp, s) is not None:
+        with pytest.raises(AsymmetricGeneratingSet):
+            build_cayley_graph(gp, s)
+        return
+    _assert_build_matches_naive(gp, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l=st.integers(1, 4),
+    m=st.integers(1, 2),
+    pa=st.sampled_from([(5, 1), (7, 1), (2, 3), (3, 2)]),
+    data=st.data(),
+)
+def test_build_matches_naive_on_any_symmetric_set(l, m, pa, data):
+    # a set closed under negation, with elements in any (z, v) part, (0, 0) included
+    gp = group(l, m, *pa)
+    picked = data.draw(st.sets(st.integers(1, gp.n_vertices - 1), min_size=1, max_size=20))
+    elements = {decode_vertex(gp, i) for i in picked}
+    elements |= {gp.neg(e) for e in elements}
+    s = GeneratingSet(s0=tuple(sorted(elements)), by_vector={}, elements=frozenset(elements))
+    _assert_build_matches_naive(gp, s)
 
 
 def test_m3_graph_shape(m3_29):

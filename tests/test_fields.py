@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import field_inv, naive_exp_table
+from reference import field_inv, naive_exp_table, naive_primitive_elements
 from regclique import fields
 from regclique.errors import ExponentZero, IndexOutOfRange, NotPrime, ZeroHasNoLog
 from regclique.fields import (
@@ -151,6 +151,20 @@ def test_primitive_data_accepts_only_primitive_elements():
         primitive_data(f, 3)  # 3^3 = 1 mod 13
     with pytest.raises(ValueError):
         primitive_data(f, 1)
+
+
+def test_primitive_element_matches_naive_scan_on_extension_fields():
+    # the search skips the prime subfield (codes below p) when a > 1
+    extensions = [build_field(p, a) for _, p, a in prime_powers(20000) if a > 1]
+    assert {(f.p, f.a) for f in extensions} >= {(2, 14), (3, 9), (139, 2)}
+    for f in extensions:
+        assert find_primitive_element(f).rho == next(naive_primitive_elements(f))
+
+
+@pytest.mark.parametrize("p,a", [(13, 1), (2, 4), (7, 2), (3, 3), (5, 2)])
+def test_all_primitive_elements_match_naive_scan(p, a):
+    f = build_field(p, a)
+    assert all_primitive_elements(f) == list(naive_primitive_elements(f))
 
 
 def test_add_array_matches_scalar_add():
