@@ -81,7 +81,7 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     if k is None:
         return _irregularity(g)
     adj = g.indices.reshape(g.n, k)
-    step = max(1, BLOCK_BYTES // (4 * k))
+    step = max(1, BLOCK_BYTES // (4 * max(k, 1)))
     translate = translator(gp)
     for e in group_generators(gp):
         perm = translate(e).astype(np.int32)
@@ -187,11 +187,10 @@ class CliqueReport:
     witnesses: tuple | None  # two (vertex, count) pairs with differing counts
 
 
-def canonical_spread(gp: GroupParams) -> list:
-    """The q vertex classes of constant field coordinate, each of size 2^m * l."""
-    block = (1 << gp.m) * gp.q
-    members = [z * block + v * gp.q for z in range(gp.l) for v in range(1 << gp.m)]
-    return [[base + fidx for base in members] for fidx in range(gp.q)]
+def canonical_spread(gp: GroupParams) -> np.ndarray:
+    """The q vertex classes of constant field coordinate as the rows of a
+    (q, 2^m * l) array: row i holds the vertices z * 2^m * q + v * q + i, ascending."""
+    return np.arange(gp.n_vertices).reshape(-1, gp.q).T
 
 
 def clique_nexus(g: Graph, clique) -> CliqueReport:
@@ -440,7 +439,7 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
     spread_detail = f"{len(spread)} cliques"
     for clique in spread:
         try:
-            report = clique_nexus(g, clique)
+            report = clique_nexus(g, clique.tolist())  # Python ints, so a NotAClique witness prints as plain integers
         except NotAClique as exc:
             spread_ok = False
             spread_detail = f"not a clique: witness non-edge {exc.witness}"
@@ -450,7 +449,7 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
         if report.order != size or report.nexus != 1:
             spread_ok = False
     else:
-        covered = np.bincount(np.concatenate(spread), minlength=g.n)
+        covered = np.bincount(spread.ravel(), minlength=g.n)
         if len(covered) != g.n or (covered != 1).any():
             spread_ok = False
             spread_detail = "cliques do not partition the vertex set"

@@ -61,15 +61,14 @@ def write_edge_list(g: Graph, fh) -> None:
 # argument handling
 
 
-def _add_graph_arguments(sp, need_pi=True):
+def _add_graph_arguments(sp):
     sp.add_argument("--m", type=int, required=True, help="rank of the Z_2^m factor (>= 2)")
     sp.add_argument("--l", type=int, default=1, help="order of the cyclic factor (default 1)")
     sp.add_argument("--q", type=int, help="field order (a prime power)")
     sp.add_argument("--p", type=int, help="field characteristic (use with --a)")
     sp.add_argument("--a", type=int, default=1, help="field extension degree (default 1)")
-    if need_pi:
-        sp.add_argument("--pi", help="comma list: images of the nonzero vectors in ascending value order")
-        sp.add_argument("--variant", choices=("psi1", "psi2"), help="built-in bijection for m = 3")
+    sp.add_argument("--pi", help="comma list: images of the nonzero vectors in ascending value order")
+    sp.add_argument("--variant", choices=("psi1", "psi2"), help="built-in bijection for m = 3")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -83,7 +82,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True, choices=(2, 3))
     sp.add_argument("--q-max", dest="q_max", type=int, required=True)
 
-    sp = sub.add_parser("build", help="construct a graph and print its size")
+    sp = sub.add_parser("build", help="print the size of a graph without constructing it")
     _add_graph_arguments(sp)
 
     sp = sub.add_parser("certify", help="construct a graph and verify every claimed property")
@@ -190,8 +189,9 @@ def _cmd_search(parser, args) -> int:
 
 
 def _cmd_build(parser, args) -> int:
-    _, _, _, graph = _build_graph(parser, args)
-    print(f"N={graph.n} k={graph.degree(0)} M={graph.m}")
+    gp, pi, _ = _resolve_construction(parser, args)
+    k = generating_set(gp, pi).size
+    print(f"N={gp.n_vertices} k={k} M={gp.n_vertices * k // 2}")
     return 0
 
 

@@ -43,9 +43,6 @@ class GroupParams:
     def n_vertices(self) -> int:
         return (1 << self.m) * self.l * self.q
 
-    def identity(self) -> GroupElement:
-        return GroupElement(0, 0, 0)
-
     def add(self, e1: GroupElement, e2: GroupElement) -> GroupElement:
         return GroupElement((e1.z + e2.z) % self.l, e1.v ^ e2.v, self.field.add(e1.f, e2.f))
 
@@ -85,10 +82,10 @@ def phi(v: int) -> int:
 
 
 def psi1(v: int) -> int:
-    """Shift-then-read bijection: sigma_plus for odd weight, sigma_minus for even."""
+    """Shift-then-read bijection: phi of sigma_plus(v) for odd weight, of sigma_minus(v) for even."""
     if not 0 < v < 8:
         raise ZeroVector(f"psi1 needs a nonzero 3-bit vector, got {v}")
-    return (sigma_plus(v) if weight(v) % 2 else sigma_minus(v)) % 7
+    return phi(sigma_plus(v) if weight(v) % 2 else sigma_minus(v))
 
 
 def psi2(v: int) -> int:

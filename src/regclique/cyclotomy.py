@@ -42,20 +42,11 @@ def class_index(ctx: CyclotomicContext, x: int) -> int:
     return dlog(ctx.pd, x) % ctx.n
 
 
-def _plus_one(ctx: CyclotomicContext, codes: np.ndarray) -> np.ndarray:
-    # adding the field element 1 only touches coefficient 0 of the code
-    f = ctx.field
-    if f.a == 1:
-        return (codes + 1) % f.p
-    c0 = codes % f.p
-    return codes - c0 + (c0 + 1) % f.p
-
-
 def cyclotomic_number(ctx: CyclotomicContext, a: int, b: int) -> int:
     """|(C(a) + 1) & C(b)|, by iterating C(a) and classifying each shift."""
     if not (0 <= a < ctx.n and 0 <= b < ctx.n):
         raise IndexOutOfRange(f"pair ({a}, {b}) not in [0, {ctx.n})^2")
-    shifted = _plus_one(ctx, ctx.pd.exp[a :: ctx.n])
+    shifted = ctx.field.add_array(ctx.pd.exp[a :: ctx.n], 1)
     shifted = shifted[shifted != 0]
     return int(np.count_nonzero(ctx.pd.log[shifted] % ctx.n == b))
 
@@ -64,7 +55,7 @@ def cyclotomic_table(ctx: CyclotomicContext) -> np.ndarray:
     """Full n x n table of cyclotomic numbers, one pass over the nonzero elements."""
     n = ctx.n
     js = np.arange(ctx.field.q - 1, dtype=np.int64)
-    shifted = _plus_one(ctx, ctx.pd.exp)
+    shifted = ctx.field.add_array(ctx.pd.exp, 1)
     keep = shifted != 0
     a = js[keep] % n
     b = ctx.pd.log[shifted[keep]] % n

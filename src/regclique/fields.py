@@ -131,9 +131,6 @@ class Field:
             return -x % self.p
         return self.code([-u for u in self.coeffs(x)])
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         if self.a == 1:
             return x * y % self.p
@@ -248,41 +245,16 @@ def _tables_for(field: Field, rho: int) -> PrimitiveData:
     return PrimitiveData(rho=rho, exp=exp, log=log)
 
 
-def _first_candidate(field: Field) -> int:
-    """The smallest code that can be primitive: 2, or p when a > 1, since the
-    codes below p form the prime subfield, whose orders divide p - 1 < q - 1."""
-    return field.p if field.a > 1 else 2
-
-
 def find_primitive_element(field: Field) -> PrimitiveData:
     """First element of multiplicative order q-1 in ascending code order (2, 3, ...)."""
     if field.q == 2:
         return _tables_for(field, 1)
     factors = list(factorize(field.q - 1))
-    for cand in range(_first_candidate(field), field.q):
+    # when a > 1 the codes below p form the prime subfield, whose orders divide p - 1 < q - 1
+    for cand in range(field.p if field.a > 1 else 2, field.q):
         if _has_full_order(field, cand, factors):
             return _tables_for(field, cand)
     raise AssertionError(f"no primitive element found in GF({field.q})")
-
-
-def primitive_data(field: Field, rho: int) -> PrimitiveData:
-    """Tables for a caller-chosen primitive element (order is verified)."""
-    field.check_element(rho)
-    if field.q > 2:
-        factors = list(factorize(field.q - 1))
-        if rho in (0, 1) or not _has_full_order(field, rho, factors):
-            raise ValueError(f"{rho} is not a primitive element of GF({field.q})")
-    elif rho != 1:
-        raise ValueError("the only primitive element of GF(2) is 1")
-    return _tables_for(field, rho)
-
-
-def all_primitive_elements(field: Field):
-    """Codes of every primitive element, ascending."""
-    if field.q == 2:
-        return [1]
-    factors = list(factorize(field.q - 1))
-    return [x for x in range(_first_candidate(field), field.q) if _has_full_order(field, x, factors)]
 
 
 def dlog(pd: PrimitiveData, x: int) -> int:

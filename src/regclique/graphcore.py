@@ -9,7 +9,6 @@ bytes plus a few arrays of N entries.
 """
 
 import os
-from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import EmptyGraph, GraphTooLarge, IndexOutOfRange, SameVertex
 # Bytes per vertex besides the CSR indices while a Cayley graph is built and
 # certified: indptr and degrees, the translation check's decoded coordinates
 # and images, the N-entry temporaries of a scan from one vertex, the spread's
-# vertex lists
+# int64 vertex array
 VERTEX_BYTES = 192
 
 
@@ -100,13 +99,6 @@ class Graph:
         row = self._row(u)
         i = int(np.searchsorted(row, v))
         return i < len(row) and int(row[i]) == v
-
-    def edges(self):
-        """All edges (u, v) with u < v, lexicographically ascending."""
-        for u in range(self.n):
-            nbrs = self.neighbours(u)
-            for v in nbrs[bisect_right(nbrs, u) :]:
-                yield (u, v)
 
     def is_regular(self):
         """The common degree, or None when degrees differ."""

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .cyclotomy import make_context, cyclotomic_number
-from .errors import BadCongruence, NotCoprime
-from .fields import all_primitive_elements, build_field, factorize, find_primitive_element, is_prime, primitive_data
+from .errors import NotCoprime
+from .fields import build_field, factorize, find_primitive_element, is_prime
 
 __all__ = [
     "is_prime",
@@ -17,7 +17,6 @@ __all__ = [
     "prime_power_decompose",
     "prime_powers",
     "multiplicative_order",
-    "is_2_cubic_nonresidue",
     "order_profile",
     "SearchRecordM2",
     "SearchRecordM3",
@@ -71,13 +70,6 @@ def multiplicative_order(x: int, modulus: int) -> int:
         while t % p == 0 and pow(x, t // p, modulus) == 1:
             t //= p
     return t
-
-
-def is_2_cubic_nonresidue(p: int) -> bool:
-    """Whether 2**((p-1)/3) != 1 mod p, i.e. 2 is not a cube mod p."""
-    if p % 3 != 1:
-        raise BadCongruence(f"p = {p} is not 1 mod 3")
-    return pow(2, (p - 1) // 3, p) != 1
 
 
 def order_profile(p: int) -> tuple:
@@ -176,45 +168,39 @@ def search_m2(q_max: int) -> list:
     return records
 
 
-def search_m3(q_max: int, all_rho: bool = False) -> list:
+def search_m3(q_max: int) -> list:
     """Prime powers q <= q_max, q = 1 mod 14, with a variant whose c = 1 mod 4.
 
-    By default only the pinned primitive element of each field is scanned;
-    with all_rho every primitive element is tried (the seventh cyclotomic
-    numbers c(1,5) and c(1,3) may depend on that choice).
+    The seventh cyclotomic numbers c(1,5) and c(1,3) are those of the pinned
+    primitive element of each field.
     """
     records = []
     for q, p, a in prime_powers(q_max):
         if q % 14 != 1:
             continue
         field = build_field(p, a)
-        pinned = find_primitive_element(field)
-        if all_rho:
-            datas = [primitive_data(field, r) for r in all_primitive_elements(field)]
-        else:
-            datas = [pinned]
-        for pd in datas:
-            ctx = make_context(field, pd, 7)
-            c15 = cyclotomic_number(ctx, 1, 5)
-            c13 = cyclotomic_number(ctx, 1, 3)
-            for variant, c in (("psi1", c15), ("psi2", c13)):
-                if c % 4 != 1:
-                    continue
-                l = (3 * c + 1) // 4
-                records.append(
-                    SearchRecordM3(
-                        p=p,
-                        a=a,
-                        q=q,
-                        rho=pd.rho,
-                        c15=c15,
-                        c13=c13,
-                        variant=variant,
-                        c=c,
-                        l=l,
-                        n_vertices=8 * l * q,
-                        k=8 * l - 2 + q,
-                        lam=8 * l - 2,
-                    )
+        pd = find_primitive_element(field)
+        ctx = make_context(field, pd, 7)
+        c15 = cyclotomic_number(ctx, 1, 5)
+        c13 = cyclotomic_number(ctx, 1, 3)
+        for variant, c in (("psi1", c15), ("psi2", c13)):
+            if c % 4 != 1:
+                continue
+            l = (3 * c + 1) // 4
+            records.append(
+                SearchRecordM3(
+                    p=p,
+                    a=a,
+                    q=q,
+                    rho=pd.rho,
+                    c15=c15,
+                    c13=c13,
+                    variant=variant,
+                    c=c,
+                    l=l,
+                    n_vertices=8 * l * q,
+                    k=8 * l - 2 + q,
+                    lam=8 * l - 2,
                 )
+            )
     return records

@@ -22,6 +22,11 @@ def to_sets(graph):
     return [set(graph.neighbours(v)) for v in range(graph.n)]
 
 
+def edge_list(graph):
+    """All edges (u, v) of a regclique Graph with u < v, lexicographically ascending."""
+    return [(u, v) for u in range(graph.n) for v in graph.neighbours(u) if u < v]
+
+
 def naive_exp_table(field, rho):
     """(exp, log) lists of GF(q) for rho: exp[j] = rho**j by q - 1 scalar multiplications,
     log[x] the exponent of x with log[0] = -1."""

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from regclique import certify
@@ -38,6 +39,7 @@ from reference import (
     circulant_edges,
     complete_edges,
     cycle_edges,
+    edge_list,
     naive_attachments,
     naive_common_neighbours,
     naive_edge_regular,
@@ -173,10 +175,10 @@ def test_certificate_from_vertex_0_matches_exhaustive_oracles(l, m, p, a, pi):
 
 def _two_switch(g):
     """A degree-preserving 2-switch: edges ab, cd become ac, bd (the first such choice)."""
-    for a, b in g.edges():
-        for c, d in g.edges():
+    for a, b in edge_list(g):
+        for c, d in edge_list(g):
             if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
-                edges = set(g.edges()) - {(a, b), (c, d)} | {tuple(sorted(e)) for e in ((a, c), (b, d))}
+                edges = set(edge_list(g)) - {(a, b), (c, d)} | {tuple(sorted(e)) for e in ((a, c), (b, d))}
                 return Graph.from_edges(g.n, edges)
     raise AssertionError("no 2-switch")
 
@@ -199,20 +201,27 @@ def test_two_switch_fails_vertex_transitivity(x1):
 
 def test_translations_report_irregular_graph(x1):
     gp, pi, _, g = x1
-    edges = list(g.edges())[1:]
+    edges = edge_list(g)[1:]
     irregular = Graph.from_edges(g.n, edges)
     failure = check_translations(gp, irregular)
     assert failure.detail.startswith("degrees differ")
     cert = assemble_certificate(gp, pi, None, irregular)
     assert cert.first_failure() == "vertex_transitive"
     assert check_translations(gp, g) is None
-    larger = check_translations(gp, Graph.from_edges(g.n + 1, g.edges()))
+    larger = check_translations(gp, Graph.from_edges(g.n + 1, edge_list(g)))
     assert larger.detail == "the graph has 29 vertices, the group 28"
+
+
+def test_translations_pass_on_edgeless_graph(x1):
+    # every translation maps an empty neighbour row onto an empty row
+    gp = x1[0]
+    assert check_translations(gp, Graph(np.zeros(29, dtype=np.int64), [])) is None
 
 
 def test_canonical_spread_x1(x1):
     gp, _, _, g = x1
     spread = canonical_spread(gp)
+    assert spread.shape == (7, 4)
     assert len(spread) == 7
     assert all(len(c) == 4 for c in spread)
     covered = sorted(v for clique in spread for v in clique)
@@ -355,7 +364,7 @@ def test_certificate_x1_passes(x1):
 def test_certificate_spread_must_partition_vertices(monkeypatch, x1, edit):
     gp, pi, _, g = x1
     spread = canonical_spread(gp)
-    spread = spread[:-1] if edit == "drop_last" else spread[:-1] + [spread[0]]
+    spread = spread[:-1] if edit == "drop_last" else np.vstack((spread[:-1], spread[:1]))
     monkeypatch.setattr(certify, "canonical_spread", lambda _: spread)
     cert = assemble_certificate(gp, pi, None, g)
     check = next(c for c in cert.checks if c["name"] == "clique_spread")

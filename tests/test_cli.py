@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import regclique
-from regclique import graphcore
+from regclique import cli, graphcore
 from regclique.cli import main
 from regclique.construction import check_graph_fits
 from regclique.errors import GraphTooLarge
 from regclique.graphcore import footprint_bytes
+
+from reference import edge_list
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +121,16 @@ def test_build_summary_line(capsys):
     assert out == "N=28 k=9 M=126\n"
 
 
+def test_build_prints_size_without_building_the_graph(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("build must not construct the graph")
+
+    monkeypatch.setattr(cli, "build_cayley_graph", refuse)
+    monkeypatch.setattr(graphcore, "memory_limit", lambda: 10**9)  # the guard admits N = 168,364 on any host
+    code, out, _ = run_cli(capsys, "build", "--m", "2", "--q", "859", "--l", "49")
+    assert (code, out) == (0, "N=168364 k=1053 M=88643646\n")
+
+
 def test_export_dimacs_round_trip(capsys, tmp_path, x1):
     path = tmp_path / "x1.dimacs"
     code, _, _ = run_cli(capsys, "export", "--m", "2", "--q", "7", "--out", str(path), "--format", "dimacs")
@@ -128,7 +140,7 @@ def test_export_dimacs_round_trip(capsys, tmp_path, x1):
     assert len(lines) == 127
     assert all(line.startswith("e ") for line in lines[1:])
     edges = [tuple(int(x) - 1 for x in line.split()[1:]) for line in lines[1:]]
-    assert edges == list(x1[3].edges())
+    assert edges == edge_list(x1[3])
 
 
 def test_export_edges_round_trip(capsys, tmp_path, x1):
@@ -137,7 +149,7 @@ def test_export_edges_round_trip(capsys, tmp_path, x1):
     assert code == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "0 7"  # the smallest encoded connection-set element
-    assert [tuple(map(int, line.split())) for line in lines] == list(x1[3].edges())
+    assert [tuple(map(int, line.split())) for line in lines] == edge_list(x1[3])
 
 
 def test_cyclotab_q7_n3(capsys):

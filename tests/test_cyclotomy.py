@@ -9,10 +9,10 @@ from regclique.cyclotomy import (
     make_context,
 )
 from regclique.errors import BadCongruence, IndexOutOfRange, WrongN, ZeroHasNoLog
-from regclique.fields import all_primitive_elements, build_field, find_primitive_element, primitive_data
+from regclique.fields import _tables_for, build_field, find_primitive_element
 from regclique.numtheory import prime_powers
 
-from reference import cyclotomic_class
+from reference import cyclotomic_class, naive_primitive_elements
 
 
 def context(p, a, n):
@@ -116,8 +116,8 @@ def test_c3_parity_argument_checks():
 def test_c12_invariant_under_primitive_element_change(p, a):
     field = build_field(p, a)
     values = set()
-    for rho in all_primitive_elements(field):
-        ctx = make_context(field, primitive_data(field, rho), 3)
+    for rho in naive_primitive_elements(field):
+        ctx = make_context(field, _tables_for(field, rho), 3)
         values.add(cyclotomic_number(ctx, 1, 2))
     assert len(values) == 1
 

@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 from reference import field_inv, naive_exp_table, naive_primitive_elements
 from regclique import fields
 from regclique.errors import ExponentZero, IndexOutOfRange, NotPrime, ZeroHasNoLog
-from regclique.fields import (
-    _mul_array,
-    all_primitive_elements,
-    build_field,
-    dlog,
-    find_primitive_element,
-    is_prime,
-    primitive_data,
-)
+from regclique.fields import _mul_array, _tables_for, build_field, dlog, find_primitive_element, is_prime
 from regclique.numtheory import prime_powers
 
 
@@ -141,30 +133,12 @@ def test_half_power_of_rho_is_minus_one(p, a):
     assert f.pow(pd.rho, (f.q - 1) // 2) == f.neg(1)
 
 
-def test_primitive_data_accepts_only_primitive_elements():
-    f = build_field(13, 1)
-    assert all_primitive_elements(f) == [2, 6, 7, 11]
-    pd = primitive_data(f, 6)
-    assert pd.rho == 6
-    assert dlog(pd, 6) == 1
-    with pytest.raises(ValueError):
-        primitive_data(f, 3)  # 3^3 = 1 mod 13
-    with pytest.raises(ValueError):
-        primitive_data(f, 1)
-
-
 def test_primitive_element_matches_naive_scan_on_extension_fields():
     # the search skips the prime subfield (codes below p) when a > 1
     extensions = [build_field(p, a) for _, p, a in prime_powers(20000) if a > 1]
     assert {(f.p, f.a) for f in extensions} >= {(2, 14), (3, 9), (139, 2)}
     for f in extensions:
         assert find_primitive_element(f).rho == next(naive_primitive_elements(f))
-
-
-@pytest.mark.parametrize("p,a", [(13, 1), (2, 4), (7, 2), (3, 3), (5, 2)])
-def test_all_primitive_elements_match_naive_scan(p, a):
-    f = build_field(p, a)
-    assert all_primitive_elements(f) == list(naive_primitive_elements(f))
 
 
 def test_add_array_matches_scalar_add():
@@ -194,8 +168,8 @@ def test_tables_match_naive_on_every_field_up_to_2000():
 @pytest.mark.parametrize("p,a", [(13, 1), (7, 2), (3, 3)])
 def test_tables_match_naive_for_every_primitive_element(p, a):
     f = build_field(p, a)
-    for rho in all_primitive_elements(f):
-        _assert_tables_match_naive(f, primitive_data(f, rho))
+    for rho in naive_primitive_elements(f):
+        _assert_tables_match_naive(f, _tables_for(f, rho))
 
 
 @pytest.mark.parametrize("p,a", [(1009, 1), (7, 2), (3, 5)])

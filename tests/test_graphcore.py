@@ -9,6 +9,7 @@ from regclique.graphcore import Graph
 from reference import (
     complete_edges,
     cycle_edges,
+    edge_list,
     naive_common_neighbours,
     naive_edge_regular,
     random_edges,
@@ -43,7 +44,7 @@ def test_degree_and_neighbours():
     assert [g.degree(v) for v in range(4)] == [2, 1, 2, 1]
     assert g.neighbours(0) == (1, 2)
     assert g.neighbours(3) == (2,)
-    assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
+    assert edge_list(g) == [(0, 1), (0, 2), (2, 3)]
     with pytest.raises(IndexOutOfRange):
         g.degree(4)
 

@@ -2,9 +2,8 @@ from math import gcd
 
 import pytest
 
-from regclique.errors import BadCongruence, NotCoprime
+from regclique.errors import NotCoprime
 from regclique.numtheory import (
-    is_2_cubic_nonresidue,
     is_prime,
     multiplicative_order,
     order_profile,
@@ -62,14 +61,6 @@ def test_multiplicative_order_is_minimal():
                 assert all(pow(x, d, modulus) != 1 for d in range(1, k))
 
 
-def test_is_2_cubic_nonresidue():
-    assert is_2_cubic_nonresidue(7) is True  # 2^2 = 4
-    assert is_2_cubic_nonresidue(31) is False  # 2^10 = 1
-    assert is_2_cubic_nonresidue(13) is True  # 2^4 = 3
-    with pytest.raises(BadCongruence):
-        is_2_cubic_nonresidue(5)
-
-
 def test_order_profile():
     assert order_profile(7) == (3, 3)
     assert order_profile(31) == (5, 1)
@@ -85,7 +76,7 @@ def test_cube_residue_follows_from_congruence():
             continue
         n, _ = order_profile(p)
         if p % (3 * n) == 1:
-            assert not is_2_cubic_nonresidue(p)
+            assert pow(2, (p - 1) // 3, p) == 1
 
 
 def test_e_equals_two_for_p_5_mod_6_small():
@@ -150,11 +141,3 @@ def test_search_m3_up_to_71():
         assert r.l == (3 * r.c + 1) // 4
         assert r.lam == 8 * r.l - 2 == 6 * r.c
 
-
-def test_search_m3_all_rho_mode():
-    records = search_m3(29, all_rho=True)
-    assert records  # at least the pinned primitive element qualifies
-    assert all(r.q == 29 for r in records)
-    assert any(r.rho == 2 and r.variant == "psi1" for r in records)
-    rhos = [r.rho for r in records]
-    assert rhos == sorted(rhos)
