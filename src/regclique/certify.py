@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import sqrt
 
 import numpy as np
@@ -30,9 +31,10 @@ from .errors import (
 )
 from .graphcore import Graph
 
-# bound on the bytes of int32 neighbour images check_translations gathers at
-# once; np.take copies their int32 indices as intp, twice that
-BLOCK_BYTES = 1 << 17
+# bound on the bytes of the int32 block-0 rows check_translations decodes,
+# translates and sorts at once; its temporaries take a few times that, which
+# stays below what the later certificate checks reach
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,26 @@ def _irregularity(g: Graph) -> Failure:
 
 
 def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
-    """None when translation by each of `group_generators(gp)` is an automorphism of g, else Failure.
+    """None when every translation of the group is an automorphism of g, else Failure.
 
-    The translations generate the group, which acts transitively on the
-    vertices, so passing proves g vertex-transitive: every lambda and mu value
-    then occurs at a pair (0, v). A translation perm is an automorphism of a
-    regular graph iff it maps each neighbour row onto the row of its image,
-    sort(perm[adj[u]]) == adj[perm[u]], checked on int32 images in blocks of rows.
+    The translations act transitively on the vertices, so passing proves g
+    vertex-transitive: every lambda and mu value then occurs at a pair (0, v).
+    A translation tau is an automorphism of a regular graph iff it maps each
+    neighbour row onto the row of its image, sort(tau(row(u))) == row(tau(u)).
+    Vertex b * q + i is tau_b(i), the field vertex i of block 0 moved by the
+    block element b = z * 2^m + v, that is (z, v, 0). So two checks over the
+    q rows of block 0 read each row of g once:
+
+    (a) tau_h for every nonzero block element h, with tau_h(c * q + j) = (c + h) * q + j;
+    (b) tau_e for each field generator e = (0, 0, p^j), j < a, through `translator`.
+
+    (a) at c + h and at c gives row(tau_h u) = tau_h row(u) for u = tau_c(i),
+    that is for every vertex. (b) carries over to every u = tau_c(i) because
+    tau_e commutes with tau_c, and the block elements with the field
+    generators generate the group. A failure's witness (e, u) is the smallest
+    block-0 vertex u at which a check fails, with e the first failing element
+    in the order: block elements by ascending b, then the field generators
+    p^0, ..., p^(a-1). Rows are decoded and sorted in chunks of BLOCK_BYTES.
     """
     if g.n != gp.n_vertices:
         detail = f"the graph has {g.n} vertices, the group {gp.n_vertices}"
@@ -80,22 +95,36 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     k = g.is_regular()
     if k is None:
         return _irregularity(g)
+    q, vectors = gp.q, 1 << gp.m
     adj = g.indices.reshape(g.n, k)
-    step = max(1, BLOCK_BYTES // (4 * max(k, 1)))
+    blocks = np.arange(gp.l * vectors, dtype=np.int32)
+    bz, bv = np.divmod(blocks, vectors)
+    block_elements = [GroupElement(int(z), int(v), 0) for z, v in zip(bz[1:], bv[1:])]
+    field_generators = [e for e in group_generators(gp) if e.f]
+    # tau_h moves a neighbour in block c by q * ((c + h) - c)
+    shifts = [((bz + h.z) % gp.l * vectors + (bv ^ h.v) - blocks) * q for h in block_elements]
     translate = translator(gp)
-    for e in group_generators(gp):
-        perm = translate(e).astype(np.int32)
-        for r0 in range(0, g.n, step):
-            rows = slice(r0, r0 + step)
-            # np.take gathers by int32 indices about twice as fast as [] indexing
-            moved = np.sort(np.take(perm, adj[rows]), axis=1) != np.take(adj, perm[rows], axis=0)
-            bad = np.flatnonzero(moved.any(axis=1))
-            if bad.size:
-                u = r0 + int(bad[0])
-                return Failure(
-                    detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {int(perm[u])}",
-                    witness=(e, u),
-                )
+    # tau_e keeps every block and maps field index j to fmap[j], read off block 0
+    field_maps = [translate(e)[:q].astype(np.int32) for e in field_generators]
+    step = max(1, BLOCK_BYTES // (4 * max(k, 1)))
+    for r0 in range(0, q, step):
+        r1 = min(r0 + step, q)
+        rows = adj[r0:r1]
+        block, fidx = np.divmod(rows, q)
+        # np.take gathers by int32 indices faster than [] indexing
+        pairs = chain(
+            ((rows + np.take(shift, block), adj[b * q + r0 : b * q + r1]) for b, shift in enumerate(shifts, 1)),
+            ((block * q + np.take(fmap, fidx), np.take(adj, fmap[r0:r1], axis=0)) for fmap in field_maps),
+        )
+        bad = [np.flatnonzero((np.sort(image, axis=1) != target).any(axis=1)) for image, target in pairs]
+        failing = [(int(rows_bad[0]), n) for n, rows_bad in enumerate(bad) if rows_bad.size]
+        if failing:
+            i, n = min(failing)
+            e, u = (block_elements + field_generators)[n], r0 + i
+            return Failure(
+                detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {int(translate(e)[u])}",
+                witness=(e, u),
+            )
     return None
 
 

@@ -43,9 +43,6 @@ class GroupParams:
     def n_vertices(self) -> int:
         return (1 << self.m) * self.l * self.q
 
-    def add(self, e1: GroupElement, e2: GroupElement) -> GroupElement:
-        return GroupElement((e1.z + e2.z) % self.l, e1.v ^ e2.v, self.field.add(e1.f, e2.f))
-
     def neg(self, e: GroupElement) -> GroupElement:
         return GroupElement(-e.z % self.l, e.v, self.field.neg(e.f))
 

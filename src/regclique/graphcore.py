@@ -16,9 +16,9 @@ import numpy as np
 from .errors import EmptyGraph, GraphTooLarge, IndexOutOfRange, SameVertex
 
 # Bytes per vertex besides the CSR indices while a Cayley graph is built and
-# certified: indptr and degrees, the translation check's decoded coordinates
-# and images, the N-entry temporaries of a scan from one vertex, the spread's
-# int64 vertex array
+# certified: indptr and degrees, the vertex decoding `translator` makes for
+# the translation check's field generators, the N-entry temporaries of a scan
+# from one vertex, the spread's int64 vertex array
 VERTEX_BYTES = 192
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written as plain loops (over adjacency sets,
 or one scalar field multiplication at a time), with no shared code with the
-package kernels. The exception is `naive_cayley_graph`, which translates every
-vertex through `construction.translator`, the translation check's own path
-(itself checked against group addition), not the block-by-block build.
+package kernels. The exceptions are `naive_cayley_graph` and
+`naive_translation_failure`, which translate every vertex through
+`construction.translator` (itself checked against `group_add`), not through
+the block-by-block build or the block-0 translation check.
 """
 
 from collections import Counter
@@ -12,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from regclique.construction import GroupElement, translator
+from regclique.construction import GroupElement, group_generators, translator
 from regclique.errors import IndexOutOfRange
 from regclique.graphcore import Graph
 
@@ -68,6 +69,11 @@ def decode_vertex(gp, index):
     v, fidx = divmod(rest, gp.q)
     f = 0 if fidx == 0 else gp.field.pow(gp.pd.rho, fidx - 1)
     return GroupElement(z, v, f)
+
+
+def group_add(gp, e1, e2):
+    """The sum of two elements of Z_l + Z_2^m + F_q, coordinate by coordinate."""
+    return GroupElement((e1.z + e2.z) % gp.l, e1.v ^ e2.v, gp.field.add(e1.f, e2.f))
 
 
 def naive_common_neighbours(adj, u, v):
@@ -198,6 +204,23 @@ def naive_cayley_graph(gp, s):
         nbrs[:, j] = translate(e)
     nbrs.sort(axis=1)
     return Graph(np.arange(0, nbrs.size + 1, len(generators)), nbrs.ravel(), validate=False)
+
+
+def naive_translation_failure(gp, graph):
+    """(e, u) for the first e of `group_generators(gp)` and the smallest vertex u whose
+    neighbours translation by e maps off those of its image, or None when every
+    generator's translation is an automorphism of the regular graph.
+
+    Every row is translated and sorted once per generator, all rows at once.
+    """
+    adj = np.array([graph.neighbours(u) for u in range(graph.n)], dtype=np.int64).reshape(graph.n, -1)
+    translate = translator(gp)
+    for e in group_generators(gp):
+        perm = translate(e)
+        bad = np.flatnonzero((np.sort(perm[adj], axis=1) != adj[perm]).any(axis=1))
+        if bad.size:
+            return e, int(bad[0])
+    return None
 
 
 def naive_primitive_elements(field):

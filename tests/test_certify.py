@@ -1,10 +1,14 @@
+import functools
 import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regclique import certify
 from regclique.certify import (
@@ -31,7 +35,7 @@ from regclique.errors import (
     NotAPartition,
     NotEdgeRegular,
 )
-from regclique.construction import group_generators, psi1_table, psi2_table, translator
+from regclique.construction import GroupElement, group_generators, psi1_table, psi2_table, translator
 from regclique.graphcore import Graph
 
 from conftest import cayley_instance
@@ -46,6 +50,7 @@ from reference import (
     naive_lambda_failure,
     naive_missing_edge,
     naive_mu_witnesses,
+    naive_translation_failure,
     random_edges,
     to_sets,
 )
@@ -173,14 +178,53 @@ def test_certificate_from_vertex_0_matches_exhaustive_oracles(l, m, p, a, pi):
     assert cert.srg["witnesses"] == [[u, v, mu] for mu, (u, v) in sorted(witnesses.items())]
 
 
-def _two_switch(g):
-    """A degree-preserving 2-switch: edges ab, cd become ac, bd (the first such choice)."""
-    for a, b in edge_list(g):
-        for c, d in edge_list(g):
+def _two_switch(g, vertices=None):
+    """A degree-preserving 2-switch: edges ab, cd become ac, bd (the first such choice
+    with a, b, c, d all in `vertices`, default every vertex)."""
+    edges = [(a, b) for a, b in edge_list(g) if vertices is None or {a, b} <= vertices]
+    for a, b in edges:
+        for c, d in edges:
             if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
-                edges = set(edge_list(g)) - {(a, b), (c, d)} | {tuple(sorted(e)) for e in ((a, c), (b, d))}
-                return Graph.from_edges(g.n, edges)
+                return _switched(g, (a, b), (c, d))
     raise AssertionError("no 2-switch")
+
+
+def _switched(g, ab, cd):
+    (a, b), (c, d) = ab, cd
+    removed = {tuple(sorted(e)) for e in (ab, cd)}
+    added = {tuple(sorted(e)) for e in ((a, c), (b, d))}
+    return Graph.from_edges(g.n, set(edge_list(g)) - removed | added)
+
+
+def _block_elements(gp):
+    """The nonzero block elements (z, v, 0), in ascending block index z * 2^m + v."""
+    return [GroupElement(z, v, 0) for z in range(gp.l) for v in range(1 << gp.m) if (z, v) != (0, 0)]
+
+
+def _field_generators(gp):
+    return [e for e in group_generators(gp) if e.f]
+
+
+def _violates(translate, g, e, u):
+    perm = translate(e)
+    return sorted(perm[list(g.neighbours(u))].tolist()) != list(g.neighbours(int(perm[u])))
+
+
+def _assert_check_matches_oracle(gp, g):
+    """check_translations fails exactly when the per-generator, all-rows oracle does,
+    with the documented witness: the smallest block-0 vertex u at which a block
+    element or a field generator fails, and the first such element in that order."""
+    failure, naive = check_translations(gp, g), naive_translation_failure(gp, g)
+    assert (failure is None) == (naive is None)
+    if failure is None:
+        return
+    translate = translator(gp)
+    assert _violates(translate, g, *naive)
+    elements = _block_elements(gp) + _field_generators(gp)
+    first = next((e, u) for u in range(gp.q) for e in elements if _violates(translate, g, e, u))
+    assert failure.witness == first
+    e, u = first
+    assert failure.detail == f"translation by {tuple(e)} maps the neighbours of {u} off those of {int(translate(e)[u])}"
 
 
 def test_two_switch_fails_vertex_transitivity(x1):
@@ -193,10 +237,93 @@ def test_two_switch_fails_vertex_transitivity(x1):
     failure = check_translations(gp, switched)
     assert cert.checks[0]["detail"] == failure.detail
     e, u = failure.witness
-    assert e in group_generators(gp)
+    assert e in _block_elements(gp) + _field_generators(gp)
     perm = translator(gp)(e)
     image = sorted(perm[list(switched.neighbours(u))].tolist())
     assert image != list(switched.neighbours(int(perm[u])))
+
+
+_cayley = functools.cache(cayley_instance)
+
+
+# SMALL_CAYLEY (the benchmark's search hits with N <= 2000 among them), the two
+# larger benchmark instances and non-default bijections
+TRANSLATION_CASES = SMALL_CAYLEY + [
+    (11, 2, 199, 1, (0, 1, 2)),
+    (4, 3, 197, 1, psi1_table()),
+    (3, 2, 13, 1, (2, 0, 1)),
+    (2, 3, 29, 1, (6, 5, 4, 3, 2, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("l,m,p,a,pi", TRANSLATION_CASES, ids=lambda x: str(x) if isinstance(x, int) else "pi")
+def test_translation_check_passes_with_oracle_on_built_graphs(l, m, p, a, pi):
+    gp, _, _, g = _cayley(l, m, p, a, pi)
+    assert check_translations(gp, g) is None
+    assert naive_translation_failure(gp, g) is None
+
+
+SWITCH_CASES = [
+    (1, 2, 7, 1, (0, 1, 2)),
+    (3, 2, 13, 1, (2, 0, 1)),
+    (4, 2, 7, 2, (0, 1, 2)),
+    (2, 1, 3, 2, (0,)),
+    (1, 3, 29, 1, psi1_table()),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(SWITCH_CASES), outside_block_0=st.booleans(), data=st.data())
+def test_translation_check_matches_oracle_on_drawn_two_switches(case, outside_block_0, data):
+    gp, _, _, g = _cayley(*case)
+    low = gp.q if outside_block_0 else 0
+    a = data.draw(st.integers(low, g.n - 1))
+    b = data.draw(st.sampled_from([w for w in g.neighbours(a) if w >= low]))
+    c = data.draw(st.sampled_from([w for w in range(low, g.n) if w != a and not g.has_edge(a, w)]))
+    ds = [w for w in g.neighbours(c) if w >= low and w not in (a, b) and not g.has_edge(b, w)]
+    assume(ds)
+    d = data.draw(st.sampled_from(ds))
+    _assert_check_matches_oracle(gp, _switched(g, (a, b), (c, d)))
+
+
+def test_translation_check_reads_blocks_beyond_the_generators():
+    # a 2-switch among blocks that no group generator's translation reaches from block 0
+    gp, _, _, g = _cayley(3, 2, 13, 1, (2, 0, 1))
+    generator_blocks = {e.z * 4 + e.v for e in group_generators(gp)}
+    vertices = {u for u in range(g.n) if u // gp.q not in generator_blocks | {0}}
+    switched = _two_switch(g, vertices)
+    assert check_translations(gp, switched) is not None
+    _assert_check_matches_oracle(gp, switched)
+
+
+def _block_invariant_two_switch(gp, g):
+    """g with the first 2-switch ab, cd -> ac, bd, a < c in block 0, made at once in
+    every block: the graph stays invariant under each block translation (z, v, 0)."""
+    translate = translator(gp)
+    moves = [translate(e) for e in [GroupElement(0, 0, 0)] + _block_elements(gp)]
+    edges = set(edge_list(g))
+
+    def orbit(x, y):
+        return {tuple(sorted((int(t[x]), int(t[y])))) for t in moves}
+
+    for a, c in combinations(range(gp.q), 2):
+        for b in g.neighbours(a):
+            for d in g.neighbours(c):
+                removed, added = orbit(a, b) | orbit(c, d), orbit(a, c) | orbit(b, d)
+                if len(removed) == len(added) == 2 * len(moves) and not added & edges:
+                    return Graph.from_edges(g.n, edges - removed | added)
+    raise AssertionError("no block-invariant 2-switch")
+
+
+@pytest.mark.parametrize("case", [(1, 2, 7, 1, (0, 1, 2)), (3, 2, 13, 1, (2, 0, 1)), (2, 1, 3, 2, (0,))])
+def test_block_invariant_graph_fails_on_a_field_generator(case):
+    gp, _, _, g = _cayley(*case)
+    switched = _block_invariant_two_switch(gp, g)
+    assert switched.is_regular() == g.is_regular()
+    failure = check_translations(gp, switched)
+    assert failure is not None and failure.witness[0] in _field_generators(gp)
+    assert naive_translation_failure(gp, switched)[0] in _field_generators(gp)
+    _assert_check_matches_oracle(gp, switched)
 
 
 def test_translations_report_irregular_graph(x1):

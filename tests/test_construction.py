@@ -1,3 +1,4 @@
+import functools
 from itertools import permutations
 
 import numpy as np
@@ -31,9 +32,10 @@ from regclique.errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVecto
 from regclique.fields import build_field, find_primitive_element
 from regclique.numtheory import prime_powers
 
-from reference import decode_vertex, naive_cayley_graph
+from reference import decode_vertex, group_add, naive_cayley_graph
 
 
+@functools.cache
 def group(l, m, p, a=1):
     field = build_field(p, a)
     return make_group(l, m, field, find_primitive_element(field))
@@ -123,6 +125,17 @@ def test_vertex_encoding_round_trip():
         encode_vertex(gp, GroupElement(1, 0, 0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 6), m=st.integers(1, 4), pp=st.sampled_from(prime_powers(2000)), data=st.data())
+def test_decode_inverts_encode_on_drawn_groups(l, m, pp, data):
+    _, p, a = pp
+    gp = group(l, m, p, a)
+    e = GroupElement(
+        data.draw(st.integers(0, l - 1)), data.draw(st.integers(0, (1 << m) - 1)), data.draw(st.integers(0, gp.q - 1))
+    )
+    assert decode_vertex(gp, encode_vertex(gp, e)) == e
+
+
 def test_vertex_encoding_with_cyclic_factor():
     gp = group(3, 2, 7)
     assert gp.n_vertices == 84
@@ -146,7 +159,7 @@ def test_graph_adjacency_matches_group_difference(x1):
     for u in (0, 5, 17, 27):
         eu = decode_vertex(gp, u)
         for w in range(graph.n):
-            diff = gp.add(decode_vertex(gp, w), gp.neg(eu))
+            diff = group_add(gp, decode_vertex(gp, w), gp.neg(eu))
             assert graph.has_edge(u, w) == (diff in s.elements)
 
 
@@ -164,7 +177,7 @@ def test_translator_matches_group_addition(l, m, pa, data):
     for _ in range(5):
         e = decode_vertex(gp, data.draw(vertex))
         u = data.draw(vertex)
-        assert translate(e)[u] == encode_vertex(gp, gp.add(decode_vertex(gp, u), e))
+        assert translate(e)[u] == encode_vertex(gp, group_add(gp, decode_vertex(gp, u), e))
     # the translations by the generators reach every vertex from 0
     reached = np.zeros(gp.n_vertices, dtype=bool)
     reached[0] = True

@@ -190,3 +190,20 @@ def test_array_arithmetic_matches_scalar(pp, data):
     array = np.array(codes, dtype=np.int64)
     assert _mul_array(f, array, y).tolist() == [f.mul(x, y) for x in codes]
     assert f.add_array(array, y).tolist() == [f.add(x, y) for x in codes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pp=st.sampled_from(prime_powers(5000)), data=st.data())
+def test_field_axioms_on_drawn_fields(pp, data):
+    _, p, a = pp
+    f = build_field(p, a)
+    x, y, z = (data.draw(st.integers(0, f.q - 1)) for _ in range(3))
+    assert f.add(x, y) == f.add(y, x)
+    assert f.mul(x, y) == f.mul(y, x)
+    assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
+    assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
+    assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
+    assert f.add(x, 0) == x and f.mul(x, 1) == x
+    assert f.add(x, f.neg(x)) == 0
+    if x:
+        assert f.mul(x, field_inv(f, x)) == 1
