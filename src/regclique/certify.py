@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .construction import GroupElement, GroupParams, encode_vertex, group_generators, translator, validate_bijection
+from .construction import GroupElement, GroupParams, encode_vertex, field_shift, group_generators, validate_bijection
 from .cyclotomy import CyclotomicContext, cyclotomic_number, make_context
 from .errors import (
     BadCongruence,
@@ -79,7 +79,7 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     q rows of block 0 read each row of g once:
 
     (a) tau_h for every nonzero block element h, with tau_h(c * q + j) = (c + h) * q + j;
-    (b) tau_e for each field generator e = (0, 0, p^j), j < a, through `translator`.
+    (b) tau_e for each field generator e = (0, 0, p^j), j < a, through `field_shift`.
 
     (a) at c + h and at c gives row(tau_h u) = tau_h row(u) for u = tau_c(i),
     that is for every vertex. (b) carries over to every u = tau_c(i) because
@@ -103,9 +103,9 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     field_generators = [e for e in group_generators(gp) if e.f]
     # tau_h moves a neighbour in block c by q * ((c + h) - c)
     shifts = [((bz + h.z) % gp.l * vectors + (bv ^ h.v) - blocks) * q for h in block_elements]
-    translate = translator(gp)
-    # tau_e keeps every block and maps field index j to fmap[j], read off block 0
-    field_maps = [translate(e)[:q].astype(np.int32) for e in field_generators]
+    # tau_e keeps every block and maps field index j to fmap[j]
+    shift = field_shift(gp)
+    field_maps = [shift(e.f).astype(np.int32) for e in field_generators]
     step = max(1, BLOCK_BYTES // (4 * max(k, 1)))
     for r0 in range(0, q, step):
         r1 = min(r0 + step, q)
@@ -121,8 +121,10 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
         if failing:
             i, n = min(failing)
             e, u = (block_elements + field_generators)[n], r0 + i
+            # block element n is b = n + 1, which moves u to b * q + u
+            image = (n + 1) * q + u if n < len(block_elements) else int(field_maps[n - len(block_elements)][u])
             return Failure(
-                detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {int(translate(e)[u])}",
+                detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {image}",
                 witness=(e, u),
             )
     return None
@@ -493,7 +495,6 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
     }
 
     # 4 + 5. cyclotomic predictions against measured counts
-    rho_code = int(gp.pd.exp[1]) if gp.q > 2 else 1
     try:
         ctx = make_context(gp.field, gp.pd, (1 << gp.m) - 1)
     except BadCongruence as exc:
@@ -513,7 +514,7 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
             if pi[gv - 1] == 1:
                 continue
             want = predicted_mu_witness(gp, pi, ctx, gv)
-            got = g.common_neighbours(0, encode_vertex(gp, GroupElement(0, gv, rho_code)))
+            got = g.common_neighbours(0, encode_vertex(gp, GroupElement(0, gv, gp.pd.rho)))
             pairs.append((gv, want, got))
             if want != got:
                 mismatches.append((gv, want, got))

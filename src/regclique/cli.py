@@ -139,7 +139,7 @@ def _resolve_pi(parser, args):
     parser.error(f"--pi or --variant is required for m = {args.m}")
 
 
-def _resolve_construction(parser, args):
+def _resolve_construction(parser, args, graph: bool):
     if args.m < 2:
         parser.error("m must be at least 2")
     if args.l < 1:
@@ -151,10 +151,11 @@ def _resolve_construction(parser, args):
             f"q = {field.q} is not 1 mod {two_n}: the connection set would not be symmetric"
         )
     pi, variant = _resolve_pi(parser, args)
-    try:  # before the field's tables, which are far smaller than the graph
-        check_graph_fits(args.l, args.m, field.q)
-    except GraphTooLarge as exc:
-        parser.error(str(exc))
+    if graph:  # before the field's tables, which are far smaller than the graph
+        try:
+            check_graph_fits(args.l, args.m, field.q)
+        except GraphTooLarge as exc:
+            parser.error(str(exc))
     gp = make_group(args.l, args.m, field, _primitive_element(parser, field))
     return gp, pi, variant
 
@@ -167,7 +168,7 @@ def _primitive_element(parser, field):
 
 
 def _build_graph(parser, args):
-    gp, pi, variant = _resolve_construction(parser, args)
+    gp, pi, variant = _resolve_construction(parser, args, graph=True)
     try:
         graph = build_cayley_graph(gp, generating_set(gp, pi))
     except GraphTooLarge as exc:
@@ -189,7 +190,7 @@ def _cmd_search(parser, args) -> int:
 
 
 def _cmd_build(parser, args) -> int:
-    gp, pi, _ = _resolve_construction(parser, args)
+    gp, pi, _ = _resolve_construction(parser, args, graph=False)
     k = generating_set(gp, pi).size
     print(f"N={gp.n_vertices} k={k} M={gp.n_vertices * k // 2}")
     return 0

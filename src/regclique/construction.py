@@ -194,23 +194,15 @@ def group_generators(gp: GroupParams) -> list:
     return cyclic + vectors + [GroupElement(0, 0, gp.field.p**i) for i in range(gp.field.a)]
 
 
-def translator(gp: GroupParams):
-    """The map e -> (index(u + e) for every vertex index u), as an int64 array.
-
-    The vertices are decoded once, so each translation is a few array operations.
-    """
-    q = gp.q
-    block = (1 << gp.m) * q
-    idx = np.arange(gp.n_vertices, dtype=np.int64)
-    zs = idx // block
-    vs = idx % block // q
-    fcodes = np.concatenate(([0], gp.pd.exp)).astype(np.int64)[idx % q]
+def field_shift(gp: GroupParams):
+    """The map f -> (fidx(x + f) for every field index of x), as an int64 array of q entries."""
+    fcodes = np.concatenate(([0], gp.pd.exp))  # the code of each field index
     fidx_of_code = gp.pd.log + 1  # log[0] = -1, so fidx(0) = 0
 
-    def translate(e: GroupElement) -> np.ndarray:
-        return ((zs + e.z) % gp.l) * block + (vs ^ e.v) * q + fidx_of_code[gp.field.add_array(fcodes, e.f)]
+    def shift(f: int) -> np.ndarray:
+        return fidx_of_code[gp.field.add_array(fcodes, f)]
 
-    return translate
+    return shift
 
 
 def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
@@ -234,8 +226,7 @@ def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     parts = {}
     for e in s.elements:
         parts.setdefault(e.z * vectors + e.v, []).append(e.f)
-    fcodes = np.concatenate(([0], gp.pd.exp))  # the code of each field index
-    fidx_of_code = gp.pd.log + 1  # log[0] = -1, so fidx(0) = 0
+    shift = field_shift(gp)
     nbrs = np.empty((n, k), dtype=np.int32)
     first = nbrs[:q]
     col_block = np.empty(k, dtype=np.int64)
@@ -243,7 +234,7 @@ def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     for d in sorted(parts):
         cols = first[:, j : j + len(parts[d])]
         for c, f in enumerate(parts[d]):  # one column at a time keeps temporaries at q entries
-            cols[:, c] = fidx_of_code[gp.field.add_array(fcodes, f)]
+            cols[:, c] = shift(f)
         cols.sort(axis=1)
         cols += d * q
         col_block[j : j + len(parts[d])] = d

@@ -16,9 +16,8 @@ import numpy as np
 from .errors import EmptyGraph, GraphTooLarge, IndexOutOfRange, SameVertex
 
 # Bytes per vertex besides the CSR indices while a Cayley graph is built and
-# certified: indptr and degrees, the vertex decoding `translator` makes for
-# the translation check's field generators, the N-entry temporaries of a scan
-# from one vertex, the spread's int64 vertex array
+# certified: indptr and degrees, the N-entry temporaries of a scan from one
+# vertex, the spread's int64 vertex array
 VERTEX_BYTES = 192
 
 
@@ -103,7 +102,7 @@ class Graph:
     def is_regular(self):
         """The common degree, or None when degrees differ."""
         first = int(self.degrees[0])
-        return first if (self.degrees == first).all() else None
+        return first if self.degrees.min() == self.degrees.max() else None
 
     def irregularity_witness(self):
         """A pair of vertices with differing degrees, or None if regular."""

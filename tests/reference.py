@@ -2,9 +2,11 @@
 
 Everything here is deliberately written as plain loops (over adjacency sets,
 or one scalar field multiplication at a time), with no shared code with the
-package kernels. The exceptions are `naive_cayley_graph` and
-`naive_translation_failure`, which translate every vertex through
-`construction.translator` (itself checked against `group_add`), not through
+package kernels. The exception is `translator`, which decodes every vertex
+into arrays and adds through `Field.add_array`, the group's addition that the
+build and `construction.field_shift` use too; it is checked against
+`group_add` and scalar `Field.add`. `naive_cayley_graph` and
+`naive_translation_failure` translate every vertex through it, not through
 the block-by-block build or the block-0 translation check.
 """
 
@@ -13,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from regclique.construction import GroupElement, group_generators, translator
+from regclique.construction import GroupElement, group_generators
 from regclique.errors import IndexOutOfRange
 from regclique.graphcore import Graph
 
@@ -193,6 +195,25 @@ def complete_bipartite_edges(r, s):
 def hypercube_edges(dim):
     n = 1 << dim
     return n, [(u, u ^ (1 << b)) for u in range(n) for b in range(dim) if u < u ^ (1 << b)]
+
+
+def translator(gp):
+    """The map e -> (index(u + e) for every vertex index u), as an int64 array.
+
+    The vertices are decoded once, so each translation is a few array operations.
+    """
+    q = gp.q
+    block = (1 << gp.m) * q
+    idx = np.arange(gp.n_vertices, dtype=np.int64)
+    zs = idx // block
+    vs = idx % block // q
+    fcodes = np.concatenate(([0], gp.pd.exp)).astype(np.int64)[idx % q]
+    fidx_of_code = gp.pd.log + 1  # log[0] = -1, so fidx(0) = 0
+
+    def translate(e):
+        return ((zs + e.z) % gp.l) * block + (vs ^ e.v) * q + fidx_of_code[gp.field.add_array(fcodes, e.f)]
+
+    return translate
 
 
 def naive_cayley_graph(gp, s):

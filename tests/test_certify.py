@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -35,7 +36,7 @@ from regclique.errors import (
     NotAPartition,
     NotEdgeRegular,
 )
-from regclique.construction import GroupElement, group_generators, psi1_table, psi2_table, translator
+from regclique.construction import GroupElement, group_generators, psi1_table, psi2_table
 from regclique.graphcore import Graph
 
 from conftest import cayley_instance
@@ -53,6 +54,7 @@ from reference import (
     naive_translation_failure,
     random_edges,
     to_sets,
+    translator,
 )
 
 
@@ -337,6 +339,25 @@ def test_translations_report_irregular_graph(x1):
     assert check_translations(gp, g) is None
     larger = check_translations(gp, Graph.from_edges(g.n + 1, edge_list(g)))
     assert larger.detail == "the graph has 29 vertices, the group 28"
+
+
+def _translation_check_peak(gp, g):
+    """Bytes of the tracemalloc peak over one passing check_translations call."""
+    check_translations(gp, g)  # warm: one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert check_translations(gp, g) is None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_translation_check_allocates_no_per_vertex_array():
+    # q = 199 at l = 1 and l = 11 (N = 796 and 8,756): one int64 array of N
+    # entries alone would grow the peak by 8 bytes per added vertex
+    small, large = (_cayley(l, 2, 199, 1, (0, 1, 2)) for l in (1, 11))
+    growth = _translation_check_peak(large[0], large[3]) - _translation_check_peak(small[0], small[3])
+    assert growth < 8 * (large[0].n_vertices - small[0].n_vertices)
 
 
 def test_translations_pass_on_edgeless_graph(x1):

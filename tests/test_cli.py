@@ -131,6 +131,19 @@ def test_build_prints_size_without_building_the_graph(capsys, monkeypatch):
     assert (code, out) == (0, "N=168364 k=1053 M=88643646\n")
 
 
+def test_build_prints_size_of_a_graph_the_guard_refuses(capsys, monkeypatch, tmp_path):
+    # N = 209,888, k = 1,159: the graph needs about 1.0 GB, its N, k and M nothing
+    monkeypatch.setattr(graphcore, "memory_limit", lambda: 10**9)
+    code, out, _ = run_cli(capsys, "build", "--m", "2", "--q", "937", "--l", "56")
+    assert (code, out) == (0, "N=209888 k=1159 M=121630096\n")
+    out_path = tmp_path / "cert.json"
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--m", "2", "--q", "937", "--l", "56", "--out", str(out_path)])
+    assert info.value.code == 2
+    assert "N = 209888 vertices need about 1.0 GB" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_export_dimacs_round_trip(capsys, tmp_path, x1):
     path = tmp_path / "x1.dimacs"
     code, _, _ = run_cli(capsys, "export", "--m", "2", "--q", "7", "--out", str(path), "--format", "dimacs")

@@ -12,6 +12,7 @@ from regclique.construction import (
     build_cayley_graph,
     default_pi,
     encode_vertex,
+    field_shift,
     generating_set,
     group_generators,
     make_group,
@@ -23,16 +24,15 @@ from regclique.construction import (
     sigma_minus,
     sigma_plus,
     symmetry_witness,
-    translator,
     validate_bijection,
     weight,
 )
 from regclique.cyclotomy import cyclotomic_table, make_context
 from regclique.errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVector
-from regclique.fields import build_field, find_primitive_element
+from regclique.fields import build_field, dlog, find_primitive_element
 from regclique.numtheory import prime_powers
 
-from reference import decode_vertex, group_add, naive_cayley_graph
+from reference import decode_vertex, group_add, naive_cayley_graph, naive_exp_table, translator
 
 
 @functools.cache
@@ -190,6 +190,29 @@ def test_translator_matches_group_addition(l, m, pa, data):
             break
         reached = grown
     assert reached.all()
+
+
+FIELDS = prime_powers(5000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pp=st.sampled_from(FIELDS) | st.sampled_from([pp for pp in FIELDS if pp[2] > 1]),
+    data=st.data(),
+)
+def test_field_shift_matches_scalar_addition(pp, data):
+    _, p, a = pp
+    gp = group(1, 1, p, a)
+    shift = field_shift(gp)
+    exp, _ = naive_exp_table(gp.field, gp.pd.rho)
+    elements = [0] + exp  # the element of each field index
+    f = data.draw(st.integers(0, gp.q - 1))
+    sums = [gp.field.add(x, f) for x in elements]
+    assert shift(f).tolist() == [0 if y == 0 else dlog(gp.pd, y) + 1 for y in sums]
+    translate = translator(gp)
+    for e in group_generators(gp):
+        if e.f:
+            assert shift(e.f).tolist() == translate(e)[: gp.q].tolist()
 
 
 def test_group_generators_x1_and_gf49():
