@@ -97,15 +97,16 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
         return _irregularity(g)
     q, vectors = gp.q, 1 << gp.m
     adj = g.indices.reshape(g.n, k)
-    blocks = np.arange(gp.l * vectors, dtype=np.int32)
+    n_blocks = gp.l * vectors
+    blocks = np.arange(n_blocks, dtype=np.int32)
     bz, bv = np.divmod(blocks, vectors)
-    block_elements = [GroupElement(int(z), int(v), 0) for z, v in zip(bz[1:], bv[1:])]
     field_generators = [e for e in group_generators(gp) if e.f]
-    # tau_h moves a neighbour in block c by q * ((c + h) - c)
-    shifts = [((bz + h.z) % gp.l * vectors + (bv ^ h.v) - blocks) * q for h in block_elements]
-    # tau_e keeps every block and maps field index j to fmap[j]
-    shift = field_shift(gp)
-    field_maps = [shift(e.f).astype(np.int32) for e in field_generators]
+
+    def block_offsets(b):  # tau_b moves block c by q * ((c + b) - c); made per chunk, not kept for every b
+        return ((bz + bz[b]) % gp.l * vectors + (bv ^ bv[b]) - blocks) * q
+
+    fshift = field_shift(gp)  # tau_e keeps every block and maps field index j to fshift(e.f)[j]
+    field_maps = [fshift(e.f).astype(np.int32) for e in field_generators]
     step = max(1, BLOCK_BYTES // (4 * max(k, 1)))
     for r0 in range(0, q, step):
         r1 = min(r0 + step, q)
@@ -113,16 +114,17 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
         block, fidx = np.divmod(rows, q)
         # np.take gathers by int32 indices faster than [] indexing
         pairs = chain(
-            ((rows + np.take(shift, block), adj[b * q + r0 : b * q + r1]) for b, shift in enumerate(shifts, 1)),
+            ((rows + np.take(block_offsets(b), block), adj[b * q + r0 : b * q + r1]) for b in range(1, n_blocks)),
             ((block * q + np.take(fmap, fidx), np.take(adj, fmap[r0:r1], axis=0)) for fmap in field_maps),
         )
-        bad = [np.flatnonzero((np.sort(image, axis=1) != target).any(axis=1)) for image, target in pairs]
-        failing = [(int(rows_bad[0]), n) for n, rows_bad in enumerate(bad) if rows_bad.size]
+        bad = (np.flatnonzero((np.sort(image, axis=1) != target).any(axis=1)) for image, target in pairs)
+        # n numbers the block elements 1 .. n_blocks - 1, then the field generators
+        failing = [(int(rows_bad[0]), n) for n, rows_bad in enumerate(bad, 1) if rows_bad.size]
         if failing:
             i, n = min(failing)
-            e, u = (block_elements + field_generators)[n], r0 + i
-            # block element n is b = n + 1, which moves u to b * q + u
-            image = (n + 1) * q + u if n < len(block_elements) else int(field_maps[n - len(block_elements)][u])
+            e, u = ([GroupElement(int(z), int(v), 0) for z, v in zip(bz, bv)] + field_generators)[n], r0 + i
+            # block element n moves u to n * q + u
+            image = n * q + u if n < n_blocks else int(field_maps[n - n_blocks][u])
             return Failure(
                 detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {image}",
                 witness=(e, u),

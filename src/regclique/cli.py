@@ -16,6 +16,7 @@ from .construction import (
     check_graph_fits,
     default_pi,
     generating_set,
+    graph_size,
     make_group,
     psi1_table,
     psi2_table,
@@ -139,7 +140,8 @@ def _resolve_pi(parser, args):
     parser.error(f"--pi or --variant is required for m = {args.m}")
 
 
-def _resolve_construction(parser, args, graph: bool):
+def _resolve_construction(parser, args):
+    """The validated field, bijection and variant name of a graph command."""
     if args.m < 2:
         parser.error("m must be at least 2")
     if args.l < 1:
@@ -151,13 +153,7 @@ def _resolve_construction(parser, args, graph: bool):
             f"q = {field.q} is not 1 mod {two_n}: the connection set would not be symmetric"
         )
     pi, variant = _resolve_pi(parser, args)
-    if graph:  # before the field's tables, which are far smaller than the graph
-        try:
-            check_graph_fits(args.l, args.m, field.q)
-        except GraphTooLarge as exc:
-            parser.error(str(exc))
-    gp = make_group(args.l, args.m, field, _primitive_element(parser, field))
-    return gp, pi, variant
+    return field, pi, variant
 
 
 def _primitive_element(parser, field):
@@ -168,7 +164,12 @@ def _primitive_element(parser, field):
 
 
 def _build_graph(parser, args):
-    gp, pi, variant = _resolve_construction(parser, args, graph=True)
+    field, pi, variant = _resolve_construction(parser, args)
+    try:
+        check_graph_fits(args.l, args.m, field.q)  # before the field's tables, which are far smaller
+    except GraphTooLarge as exc:
+        parser.error(str(exc))
+    gp = make_group(args.l, args.m, field, _primitive_element(parser, field))
     try:
         graph = build_cayley_graph(gp, generating_set(gp, pi))
     except GraphTooLarge as exc:
@@ -190,9 +191,9 @@ def _cmd_search(parser, args) -> int:
 
 
 def _cmd_build(parser, args) -> int:
-    gp, pi, _ = _resolve_construction(parser, args, graph=False)
-    k = generating_set(gp, pi).size
-    print(f"N={gp.n_vertices} k={k} M={gp.n_vertices * k // 2}")
+    field, _, _ = _resolve_construction(parser, args)
+    n, k = graph_size(args.l, args.m, field.q)
+    print(f"N={n} k={k} M={n * k // 2}")
     return 0
 
 

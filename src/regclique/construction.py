@@ -176,14 +176,18 @@ def encode_vertex(gp: GroupParams, e: GroupElement) -> int:
     return e.z * ((1 << gp.m) * gp.q) + e.v * gp.q + fidx
 
 
+def graph_size(l: int, m: int, q: int) -> tuple:
+    """(N, k) on Z_l + Z_2^m + F_q: k counts the l * 2^m - 1 elements (z, v, 0) and q - 1 more."""
+    return l * (1 << m) * q, l * (1 << m) + q - 2
+
+
 def check_graph_fits(l: int, m: int, q: int) -> None:
     """Refuse a Cayley graph on Z_l + Z_2^m + F_q that would not fit in memory (GraphTooLarge).
 
     It needs no field tables, so callers can run it before building them.
     """
-    n = l * (1 << m) * q
-    # a connection set holds the l * 2^m - 1 elements (z, v, 0) plus q - 1 more
-    check_footprint(n, n * (l * (1 << m) + q - 2))
+    n, k = graph_size(l, m, q)
+    check_footprint(n, n * k)
 
 
 def group_generators(gp: GroupParams) -> list:

@@ -3,49 +3,23 @@
 `perfbench/run.py` fails a traced run when a span its calls must enter has
 no calls, when a traced function is gone from the package, or when
 `clique_nexus` is not called once per clique (q times per certificate).
-This runs one traced worker the way `run.py` spawns it, so a change that
-would break that gate fails here first.
+This runs one traced worker through `run.spawn`, so a change that would
+break that gate fails here first.
 """
 
-import importlib.util
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PERFBENCH = ROOT / "perfbench"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_traced_worker_enters_every_gated_span(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import workloads
 
-
-def test_traced_worker_enters_every_gated_span(tmp_path):
-    workloads = _workloads()
     call = workloads.Call("certify-m2-q7", "certify", ("certify", "--m", "2", "--q", "7"))
-    spec = {
-        "src": str(ROOT / "src"),
-        "workdir": str(tmp_path),
-        "trace": True,
-        "calls": [[call.id, call.kind, list(call.argv)]],
-    }
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "worker.py"), json.dumps(spec)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = run.spawn([call], tmp_path, trace=True, timeout=120)
+    assert report is not None
     assert report["observed"][call.id]["exit"] == 0
     trace = report["trace"]
     assert trace["missing"] == []

@@ -352,12 +352,18 @@ def _translation_check_peak(gp, g):
         tracemalloc.stop()
 
 
-def test_translation_check_allocates_no_per_vertex_array():
-    # q = 199 at l = 1 and l = 11 (N = 796 and 8,756): one int64 array of N
-    # entries alone would grow the peak by 8 bytes per added vertex
-    small, large = (_cayley(l, 2, 199, 1, (0, 1, 2)) for l in (1, 11))
+@pytest.mark.parametrize("q,l_small,l_large", [(199, 1, 11), (7, 50, 250)])
+def test_translation_check_allocates_no_per_vertex_array(monkeypatch, q, l_small, l_large):
+    # one-row chunks leave arrays of l * 2^m entries, one row of k and q
+    # entries per field generator. At q = 199 one int64 array of N entries
+    # would grow the peak by 8 * 199 bytes per added block; at q = 7
+    # (200 and 1,000 blocks) an int32 array of l * 2^m entries kept per
+    # block element would grow it by 4 * l * 2^m bytes per added block
+    monkeypatch.setattr(certify, "BLOCK_BYTES", 1 << 10)
+    small, large = (cayley_instance(l, 2, q, 1, (0, 1, 2)) for l in (l_small, l_large))  # not cached: up to 28 MB
     growth = _translation_check_peak(large[0], large[3]) - _translation_check_peak(small[0], small[3])
-    assert growth < 8 * (large[0].n_vertices - small[0].n_vertices)
+    added_blocks = 4 * (l_large - l_small)
+    assert growth < 256 * added_blocks
 
 
 def test_translations_pass_on_edgeless_graph(x1):

@@ -269,6 +269,14 @@ def _host_could_hold(nbytes):
     return nbytes <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
+def test_build_prints_size_of_any_l_without_per_element_memory():
+    # l * 2^m = 4 * 10^9 block elements: N and k come from the parameters
+    # alone, so the 2 GB address-space limit is never approached
+    proc = _run_cli_limited("build", "--m", "2", "--q", "7", "--l", str(10**9))
+    n, k = 28 * 10**9, 4 * 10**9 + 5
+    assert (proc.returncode, proc.stdout) == (0, f"N={n} k={k} M={n * k // 2}\n"), proc.stderr
+
+
 def test_certify_refuses_graph_beyond_memory(tmp_path):
     n = 4 * 112 * 1993  # m=2, l=112, q=1993: a search hit with N = 892,864
     need = footprint_bytes(n, n * (4 * 112 - 2 + 1993))

@@ -14,6 +14,7 @@ from regclique.construction import (
     encode_vertex,
     field_shift,
     generating_set,
+    graph_size,
     group_generators,
     make_group,
     phi,
@@ -246,6 +247,12 @@ BUILD_CASES = [
 def test_build_matches_naive_on_benchmark_instances(l, m, p, a, pi):
     gp = group(l, m, p, a)
     _assert_build_matches_naive(gp, generating_set(gp, pi))
+
+
+@pytest.mark.parametrize("l,m,p,a,pi", BUILD_CASES)
+def test_graph_size_counts_the_connection_set(l, m, p, a, pi):
+    gp = group(l, m, p, a)
+    assert graph_size(l, m, gp.q) == (gp.n_vertices, generating_set(gp, pi).size)
 
 
 @settings(max_examples=40, deadline=None)
