@@ -22,7 +22,6 @@ from .cyclotomy import CyclotomicContext, cyclotomic_number, make_context
 from .errors import (
     BadCongruence,
     HypothesisViolated,
-    IndexOutOfRange,
     NoOutsideVertices,
     NotAClique,
     NotAPartition,
@@ -96,7 +95,7 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     if k is None:
         return _irregularity(g)
     q, vectors = gp.q, 1 << gp.m
-    adj = g.indices.reshape(g.n, k)
+    adj = g.row_table
     n_blocks = gp.l * vectors
     blocks = np.arange(n_blocks, dtype=np.int32)
     bz, bv = np.divmod(blocks, vectors)
@@ -232,27 +231,22 @@ def clique_nexus(g: Graph, clique) -> CliqueReport:
     if len(clique) < 2:
         raise ValueError("a clique report needs at least two vertices")
     members = np.array(clique)
-    outside_range = np.flatnonzero((members < 0) | (members >= g.n))
-    if outside_range.size:
-        raise IndexOutOfRange(f"vertex {clique[outside_range[0]]} not in [0, {g.n})")
+    counts = g.adjacent_counts(members)  # raises IndexOutOfRange at the smallest vertex outside [0, n)
     if len(clique) == g.n:
         raise NoOutsideVertices("the clique covers every vertex")
-    counts = g.adjacent_counts(clique)
     short = np.flatnonzero(counts[members] != len(clique) - 1)
     if short.size:
         u = clique[short[0]]
         for v in clique:
             if v != u and not g.has_edge(u, v):
                 raise NotAClique(u, v)
-    outside = np.ones(g.n, dtype=bool)
-    outside[members] = False
-    vertices = np.flatnonzero(outside)
-    attached = counts[vertices]
-    first_v, first = int(vertices[0]), int(attached[0])
-    differ = np.flatnonzero(attached != first)
-    if differ.size:
-        i = differ[0]
-        return CliqueReport(clique, len(clique), None, ((first_v, first), (int(vertices[i]), int(attached[i]))))
+    first_v = next((i for i, v in enumerate(clique) if v != i), len(clique))  # the smallest outside vertex
+    first = int(counts[first_v])
+    differ = counts != first
+    differ[members] = False
+    i = int(differ.argmax())  # the first outside vertex whose count differs, or 0 when none does
+    if differ[i]:
+        return CliqueReport(clique, len(clique), None, ((first_v, first), (i, int(counts[i]))))
     return CliqueReport(clique, len(clique), first, None)
 
 

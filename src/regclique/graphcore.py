@@ -1,11 +1,14 @@
 """Immutable graph held as sorted CSR neighbour arrays.
 
 The neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, ascending
-(`int32`). Every common-neighbour count comes from one kernel,
-`adjacent_counts`: one `np.bincount` over the concatenated neighbour lists of
-a vertex set. Over the neighbours of u it gives |N(u) & N(w)| for every w at
-once, from k^2 entries for a graph of degree k, so the graph takes N·k·4
-bytes plus a few arrays of N entries.
+(`int32`). A regular graph of degree k also offers `row_table`, the same
+indices viewed as an (n, k) array whose row u lists the neighbours of u.
+Every common-neighbour count comes from one kernel, `adjacent_counts`: one
+`np.bincount` over the neighbour rows of a vertex set, gathered from
+`row_table` in one index on a regular graph and concatenated row by row on
+an irregular one. Over the neighbours of u it gives |N(u) & N(w)| for every
+w at once, from k^2 entries for a graph of degree k, so the graph takes
+N·k·4 bytes plus a few arrays of N entries.
 """
 
 import os
@@ -45,7 +48,7 @@ def check_footprint(n: int, degree_sum: int) -> None:
 class Graph:
     """Undirected graph on {0, ..., n-1}, immutable after construction."""
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees", "row_table")
 
     def __init__(self, indptr, indices, validate: bool = True):
         """Graph from CSR arrays: the neighbours of u are indices[indptr[u]:indptr[u + 1]], ascending."""
@@ -62,6 +65,9 @@ class Graph:
         self.indptr = indptr
         self.indices = indices
         self.degrees = degrees
+        # the (n, k) view of the indices when every degree is k, else None
+        k = int(degrees[0])
+        self.row_table = indices.reshape(n, k) if degrees.min() == degrees.max() else None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -101,8 +107,7 @@ class Graph:
 
     def is_regular(self):
         """The common degree, or None when degrees differ."""
-        first = int(self.degrees[0])
-        return first if self.degrees.min() == self.degrees.max() else None
+        return None if self.row_table is None else self.row_table.shape[1]
 
     def irregularity_witness(self):
         """A pair of vertices with differing degrees, or None if regular."""
@@ -131,6 +136,12 @@ class Graph:
 
     def adjacent_counts(self, vertices) -> np.ndarray:
         """For every vertex w, how many of `vertices` (distinct) are adjacent to w."""
+        vertices = np.asarray(vertices, dtype=np.intp)
+        outside = vertices.view(np.uintp) >= self.n  # a negative vertex wraps round to one above n
+        if np.count_nonzero(outside):
+            raise IndexOutOfRange(f"vertex {vertices[outside.argmax()]} not in [0, {self.n})")
+        if self.row_table is not None:
+            return np.bincount(self.row_table[vertices].ravel(), minlength=self.n)
         rows = [self._row(u) for u in vertices]
         return np.bincount(np.concatenate([np.empty(0, dtype=np.int32), *rows]), minlength=self.n)
 

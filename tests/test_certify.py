@@ -42,6 +42,7 @@ from regclique.graphcore import Graph
 from conftest import cayley_instance
 from reference import (
     circulant_edges,
+    complete_bipartite_edges,
     complete_edges,
     cycle_edges,
     edge_list,
@@ -410,6 +411,37 @@ def test_clique_nexus_errors(x1):
     for clique, first_outside in (([0, 29, 28], 28), ([30, 0, -1], -1)):
         with pytest.raises(IndexOutOfRange, match=f"vertex {first_outside} "):
             clique_nexus(g, clique)
+
+
+def _assert_nexus_matches_oracle(g, clique, adj):
+    attached = naive_attachments(adj, clique)
+    differing = [pair for pair in attached if pair[1] != attached[0][1]]
+    report = clique_nexus(g, clique)
+    assert report.clique == tuple(sorted(clique))
+    assert report.order == len(clique)
+    assert report.nexus == (None if differing else attached[0][1])
+    assert report.witnesses == ((attached[0], differing[0]) if differing else None)
+
+
+def test_clique_nexus_matches_oracle(x1, m3_29):
+    for gp, _, _, g in (x1, m3_29):
+        adj = to_sets(g)
+        for clique in canonical_spread(gp):  # row 0 holds vertex 0, every other row misses it
+            _assert_nexus_matches_oracle(g, clique.tolist(), adj)
+    # on the circulant with steps 1 .. s-1 every s consecutive vertices form a clique
+    g = Graph.from_edges(*circulant_edges(23, [1, 2, 3, 5]))
+    adj = to_sets(g)
+    for clique in ([0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 3], [0, 2, 3], [1, 2, 3, 4], [5, 6, 7, 8], [20, 21, 22]):
+        _assert_nexus_matches_oracle(g, clique, adj)
+    # every edge of irregular graphs, which count row by row
+    rng = random.Random(17)
+    graphs = [Graph.from_edges(*complete_bipartite_edges(2, 3))]
+    graphs += [Graph.from_edges(n, random_edges(n, 0.35, rng)) for n in (6, 11, 30)]
+    for g in graphs:
+        assert g.is_regular() is None
+        adj = to_sets(g)
+        for edge in edge_list(g):
+            _assert_nexus_matches_oracle(g, list(edge), adj)
 
 
 def test_predicted_local_valencies_x1(x1):

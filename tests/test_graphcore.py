@@ -1,15 +1,19 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from regclique.errors import EmptyGraph, IndexOutOfRange, SameVertex
 from regclique.graphcore import Graph
 
 from reference import (
+    circulant_edges,
+    complete_bipartite_edges,
     complete_edges,
     cycle_edges,
     edge_list,
+    hypercube_edges,
     naive_common_neighbours,
     naive_edge_regular,
     random_edges,
@@ -114,3 +118,65 @@ def test_translation_invariance_of_count_profiles(x1):
     for u in range(step, g.n, step):
         profile = sorted(g.common_neighbours(u, v) for v in range(g.n) if v != u)
         assert profile == base
+
+
+def _naive_counts(adj, vertices):
+    return [sum(1 for x in vertices if x in adj[w]) for w in range(len(adj))]
+
+
+def _graphs(x1):
+    """Regular graphs (a Cayley graph, a circulant, a hypercube, an edgeless graph)
+    and irregular ones (a path, a star, K_{2,3}, random graphs)."""
+    rng = random.Random(5)
+    yield x1[3]
+    yield Graph.from_edges(*circulant_edges(17, [1, 4, 6]))
+    yield Graph.from_edges(*hypercube_edges(4))
+    yield Graph(np.zeros(6, dtype=np.int64), [])
+    yield Graph.from_edges(3, [(0, 1), (1, 2)])
+    yield Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    yield Graph.from_edges(*complete_bipartite_edges(2, 3))
+    for n in (7, 20, 41):
+        yield Graph.from_edges(n, random_edges(n, 0.3, rng))
+
+
+def test_adjacent_counts_matches_naive_on_both_paths(x1):
+    # a regular graph counts through its (n, k) row table, an irregular one row by row
+    rng = random.Random(3)
+    for g in _graphs(x1):
+        assert (g.row_table is None) == (g.is_regular() is None)
+        adj = to_sets(g)
+        for size in (0, 1, 2, min(g.n, 9), g.n):
+            vertices = rng.sample(range(g.n), size)
+            want = _naive_counts(adj, vertices)
+            for given in (vertices, tuple(vertices), np.array(vertices, dtype=np.int32)):
+                assert g.adjacent_counts(given).tolist() == want
+        assert g.adjacent_counts(()).tolist() == [0] * g.n
+
+
+def test_adjacent_counts_rejects_vertices_outside_range(x1):
+    for g in _graphs(x1):
+        for bad in (-1, g.n):
+            for vertices in ([bad], [0, bad], np.array([bad, 0], dtype=np.int32)):
+                with pytest.raises(IndexOutOfRange, match=f"vertex {bad} not in"):
+                    g.adjacent_counts(vertices)
+
+
+def test_regularity_answers_match_naive(x1, petersen):
+    rng = random.Random(7)
+    graphs = [
+        Graph.from_edges(*complete_edges(4)),
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        Graph.from_edges(*cycle_edges(5)),
+        Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)]),
+        Graph.from_edges(20, random_edges(20, 0.4, rng)),
+        petersen,
+        *_graphs(x1),
+    ]
+    for _ in range(25):
+        n = rng.randrange(2, 65)
+        graphs.append(Graph.from_edges(n, random_edges(n, rng.random(), rng)))
+    for g in graphs:
+        degrees = [len(s) for s in to_sets(g)]
+        differ = [v for v, d in enumerate(degrees) if d != degrees[0]]
+        assert g.is_regular() == (None if differ else degrees[0])
+        assert g.irregularity_witness() == ((0, differ[0]) if differ else None)
