@@ -12,7 +12,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import sqrt
 
 import numpy as np
@@ -22,6 +21,7 @@ from .cyclotomy import CyclotomicContext, cyclotomic_number, make_context
 from .errors import (
     BadCongruence,
     HypothesisViolated,
+    IndexOutOfRange,
     NoOutsideVertices,
     NotAClique,
     NotAPartition,
@@ -30,10 +30,12 @@ from .errors import (
 )
 from .graphcore import Graph
 
-# bound on the bytes of the int32 block-0 rows check_translations decodes,
-# translates and sorts at once; its temporaries take a few times that, which
-# stays below what the later certificate checks reach
-BLOCK_BYTES = 1 << 16
+# bound on the bytes of the int32 arrays check_translations holds at once for
+# a chunk of block-0 rows: one gathered image for a block element, four arrays
+# (field indices, block bases, image, target) for a field generator. A Cayley
+# graph of the construction has k >= q, so even a chunk of all q rows of block
+# 0 holds no more entries than the k^2 that the mu scan from vertex 0 gathers
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,17 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     generators generate the group. A failure's witness (e, u) is the smallest
     block-0 vertex u at which a check fails, with e the first failing element
     in the order: block elements by ascending b, then the field generators
-    p^0, ..., p^(a-1). Rows are decoded and sorted in chunks of BLOCK_BYTES.
+    p^0, ..., p^(a-1).
+
+    (a) needs no sort. tau_h keeps each entry's field index and moves its
+    block, so a strictly ascending row with the column blocks of row 0 sorts
+    its image by one column order, the same for every such row: the columns
+    stably ordered by the target blocks of row 0's column blocks. Each block
+    element is checked on a chunk of rows by one gather in that order, one add
+    of the block offsets and one compare; a row that is not strictly
+    ascending, has other column blocks than row 0 or misses its target is
+    checked again by sorting its image. (b) sorts every image. Rows are read
+    in chunks of BLOCK_BYTES.
     """
     if g.n != gp.n_vertices:
         detail = f"the graph has {g.n} vertices, the group {gp.n_vertices}"
@@ -101,33 +113,63 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     bz, bv = np.divmod(blocks, vectors)
     field_generators = [e for e in group_generators(gp) if e.f]
 
-    def block_offsets(b):  # tau_b moves block c by q * ((c + b) - c); made per chunk, not kept for every b
+    def block_offsets(b):  # tau_b moves block c by q * ((c + b) - c); made per block element, not kept for every b
         return ((bz + bz[b]) % gp.l * vectors + (bv ^ bv[b]) - blocks) * q
 
+    # n numbers the block elements 1 .. n_blocks - 1, then the field generators;
+    # failing maps each failing element n checked to its smallest failing row
+    failing = {}
     fshift = field_shift(gp)  # tau_e keeps every block and maps field index j to fshift(e.f)[j]
     field_maps = [fshift(e.f).astype(np.int32) for e in field_generators]
-    step = max(1, BLOCK_BYTES // (4 * max(k, 1)))
+    cols0 = adj[0] // q  # the column blocks of row 0
+    bases0 = cols0 * q
+    # the block-0 rows whose image a gather in row 0's column order may not
+    # sort: rows not strictly ascending or with other column blocks than row 0
+    needs_sort = np.empty(q, dtype=bool)
+    step = max(1, BLOCK_BYTES // (16 * max(k, 1)))  # (b) holds four int32 arrays of a chunk
     for r0 in range(0, q, step):
         r1 = min(r0 + step, q)
         rows = adj[r0:r1]
-        block, fidx = np.divmod(rows, q)
-        # np.take gathers by int32 indices faster than [] indexing
-        pairs = chain(
-            ((rows + np.take(block_offsets(b), block), adj[b * q + r0 : b * q + r1]) for b in range(1, n_blocks)),
-            ((block * q + np.take(fmap, fidx), np.take(adj, fmap[r0:r1], axis=0)) for fmap in field_maps),
+        fidx = rows % q
+        bases = rows - fidx
+        needs_sort[r0:r1] = (bases != bases0).any(axis=1) | (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
+        for n, fmap in enumerate(field_maps, n_blocks):
+            image = np.take(fmap, fidx)  # np.take gathers by int32 indices faster than [] indexing
+            image += bases
+            image.sort(axis=1)
+            bad = np.flatnonzero((image != np.take(adj, fmap[r0:r1], axis=0)).any(axis=1))
+            if bad.size:
+                failing.setdefault(n, r0 + int(bad[0]))
+    step = max(1, BLOCK_BYTES // (4 * max(k, 1)))  # (a) holds one
+    for b in range(1, n_blocks):
+        offsets = block_offsets(b)
+        shift = np.take(offsets, cols0)
+        order = np.argsort(bases0 + shift, kind="stable")  # by target block
+        shift = shift[order]
+        for r0 in range(0, q, step):
+            r1 = min(r0 + step, q)
+            target = adj[b * q + r0 : b * q + r1]
+            image = adj[r0:r1, order]
+            image += shift
+            if np.array_equal(image, target) and not needs_sort[r0:r1].any():
+                continue
+            rows = r0 + np.flatnonzero(needs_sort[r0:r1] | (image != target).any(axis=1))
+            image = adj[rows]
+            image += np.take(offsets, image // q)
+            image.sort(axis=1)
+            bad = rows[(image != adj[b * q + rows]).any(axis=1)]
+            if bad.size:
+                failing[b] = int(bad[0])
+                break
+    if failing:
+        u, n = min((u, n) for n, u in failing.items())
+        e = ([GroupElement(int(z), int(v), 0) for z, v in zip(bz, bv)] + field_generators)[n]
+        # block element n moves u to n * q + u
+        image = n * q + u if n < n_blocks else int(field_maps[n - n_blocks][u])
+        return Failure(
+            detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {image}",
+            witness=(e, u),
         )
-        bad = (np.flatnonzero((np.sort(image, axis=1) != target).any(axis=1)) for image, target in pairs)
-        # n numbers the block elements 1 .. n_blocks - 1, then the field generators
-        failing = [(int(rows_bad[0]), n) for n, rows_bad in enumerate(bad, 1) if rows_bad.size]
-        if failing:
-            i, n = min(failing)
-            e, u = ([GroupElement(int(z), int(v), 0) for z, v in zip(bz, bv)] + field_generators)[n], r0 + i
-            # block element n moves u to n * q + u
-            image = n * q + u if n < n_blocks else int(field_maps[n - n_blocks][u])
-            return Failure(
-                detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {image}",
-                witness=(e, u),
-            )
     return None
 
 
@@ -471,6 +513,10 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
             spread_ok = False
             spread_detail = f"not a clique: witness non-edge {exc.witness}"
             break
+        except IndexOutOfRange as exc:  # a graph with fewer vertices than the group
+            spread_ok = False
+            spread_detail = f"not a clique of the graph: {exc}"
+            break
         orders.add(report.order)
         nexus_values.add(report.nexus)
         if report.order != size or report.nexus != 1:
@@ -510,7 +556,10 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
             if pi[gv - 1] == 1:
                 continue
             want = predicted_mu_witness(gp, pi, ctx, gv)
-            got = g.common_neighbours(0, encode_vertex(gp, GroupElement(0, gv, gp.pd.rho)))
+            try:
+                got = g.common_neighbours(0, encode_vertex(gp, GroupElement(0, gv, gp.pd.rho)))
+            except IndexOutOfRange:  # the witness vertex lies beyond a graph smaller than the group
+                got = None
             pairs.append((gv, want, got))
             if want != got:
                 mismatches.append((gv, want, got))

@@ -36,7 +36,7 @@ from regclique.errors import (
     NotAPartition,
     NotEdgeRegular,
 )
-from regclique.construction import GroupElement, group_generators, psi1_table, psi2_table
+from regclique.construction import GroupElement, field_shift, group_generators, psi1_table, psi2_table
 from regclique.graphcore import Graph
 
 from conftest import cayley_instance
@@ -249,11 +249,12 @@ def test_two_switch_fails_vertex_transitivity(x1):
 _cayley = functools.cache(cayley_instance)
 
 
+# the two larger benchmark instances (N = 8,756 and 6,304)
+LARGE_CAYLEY = [(11, 2, 199, 1, (0, 1, 2)), (4, 3, 197, 1, psi1_table())]
+
 # SMALL_CAYLEY (the benchmark's search hits with N <= 2000 among them), the two
 # larger benchmark instances and non-default bijections
-TRANSLATION_CASES = SMALL_CAYLEY + [
-    (11, 2, 199, 1, (0, 1, 2)),
-    (4, 3, 197, 1, psi1_table()),
+TRANSLATION_CASES = SMALL_CAYLEY + LARGE_CAYLEY + [
     (3, 2, 13, 1, (2, 0, 1)),
     (2, 3, 29, 1, (6, 5, 4, 3, 2, 1, 0)),
 ]
@@ -299,6 +300,95 @@ def test_translation_check_reads_blocks_beyond_the_generators():
     _assert_check_matches_oracle(gp, switched)
 
 
+def _with_rows(g, rows):
+    """g with each row u of `rows` stored as listed, unvalidated, so a row may be out of order."""
+    table = g.row_table.copy()
+    for u, row in rows.items():
+        table[u] = row
+    return Graph(g.indptr, table.ravel(), validate=False)
+
+
+def _swapped(row, i, j):
+    row = list(row)
+    row[i], row[j] = row[j], row[i]
+    return row
+
+
+@pytest.mark.parametrize("case", SWITCH_CASES, ids=str)
+def test_translation_check_matches_oracle_on_block_0_switches(case):
+    # a, c in block 0 trade neighbours b, d of two other blocks for each other,
+    # so rows a and c no longer have the column blocks of row 0
+    gp, _, _, g = _cayley(*case)
+    q = gp.q
+    a, b, c, d = next(
+        (a, b, c, d)
+        for a, c in combinations(range(1, q), 2)
+        if not g.has_edge(a, c)
+        for b in g.neighbours(a)
+        for d in g.neighbours(c)
+        if b // q not in (0, d // q) and d // q and not g.has_edge(b, d)
+    )
+    switched = _switched(g, (a, b), (c, d))
+    blocks = [[w // q for w in switched.neighbours(u)] for u in (0, a, c)]
+    assert blocks[1] != blocks[0] and blocks[2] != blocks[0]
+    _assert_check_matches_oracle(gp, switched)
+
+
+@pytest.mark.parametrize("case", SWITCH_CASES, ids=str)
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize("i,j", [(0, 1), (0, -1)], ids=["one_block", "two_blocks"])
+def test_translation_check_matches_oracle_on_rows_stored_out_of_order(case, block, i, j):
+    gp, _, _, g = _cayley(*case)
+    u = block * gp.q  # row 0, or its translate by the first block element
+    row = g.neighbours(u)
+    assert (row[i] // gp.q == row[j] // gp.q) == (j == 1)
+    stored = _with_rows(g, {u: _swapped(row, i, j)})
+    if block == 0:
+        # the block elements map the set of row 0 onto its translates; only a
+        # field generator, mapping a row onto row 0, fails
+        assert check_translations(gp, stored).witness[0] in _field_generators(gp)
+    _assert_check_matches_oracle(gp, stored)
+
+
+def _gathered_translates(gp, g, u, row):
+    """g with row u stored as `row`, and each translate b * q + u of u by a block
+    element stored as `row` gathered in row 0's column order: entry j moved by
+    the offset of row 0's column block c_j, the entries stably ordered by their
+    target blocks. That is the sorted image only for a strictly ascending row
+    with the column blocks of row 0."""
+    q = gp.q
+    translate = translator(gp)
+    cols = [w // q for w in g.neighbours(0)]
+    rows = {u: row}
+    for b, e in enumerate(_block_elements(gp), 1):
+        moved = (translate(e)[::q] // q).tolist()  # the block each block moves to
+        order = sorted(range(len(row)), key=lambda j: moved[cols[j]])
+        rows[b * q + u] = [row[j] + (moved[cols[j]] - cols[j]) * q for j in order]
+    return _with_rows(g, rows)
+
+
+@pytest.mark.parametrize("case", SWITCH_CASES, ids=str)
+@pytest.mark.parametrize("edit", ["out_of_order", "other_column_blocks"])
+def test_translation_check_sorts_rows_whose_gather_matches(case, edit):
+    # every translate of u holds the gather of u's row in row 0's column order,
+    # so only the sort of u's image shows that the block elements fail at u
+    gp, _, _, g = _cayley(*case)
+    q = gp.q
+    if edit == "out_of_order":
+        u, row = 0, _swapped(g.neighbours(0), 0, 1)
+    else:
+        # no field generator maps a smaller row onto row u
+        maps = [field_shift(gp)(e.f) for e in _field_generators(gp)]
+        u = next(u for u in range(1, q) if all(np.flatnonzero(fmap == u)[0] > u for fmap in maps))
+        row = list(g.neighbours(u))
+        p = next(p for p in range(1, len(row)) if row[p] // q > row[p - 1] // q and (row[p - 1] + 1) % q)
+        row[p] = row[p - 1] + 1  # entry p moves into the column block of entry p - 1
+    stored = _gathered_translates(gp, g, u, row)
+    e, v = check_translations(gp, stored).witness
+    assert e in _block_elements(gp) and v == u
+    _assert_check_matches_oracle(gp, stored)
+
+
 def _block_invariant_two_switch(gp, g):
     """g with the first 2-switch ab, cd -> ac, bd, a < c in block 0, made at once in
     every block: the graph stays invariant under each block translation (z, v, 0)."""
@@ -342,15 +432,21 @@ def test_translations_report_irregular_graph(x1):
     assert larger.detail == "the graph has 29 vertices, the group 28"
 
 
-def _translation_check_peak(gp, g):
-    """Bytes of the tracemalloc peak over one passing check_translations call."""
-    check_translations(gp, g)  # warm: one-time allocations stay out of the peak
+def _peak(call):
+    """Bytes of the tracemalloc peak over one call of `call`."""
+    call()  # warm: one-time allocations stay out of the peak
     tracemalloc.start()
     try:
-        assert check_translations(gp, g) is None
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _translation_check_peak(gp, g):
+    """Bytes of the tracemalloc peak over one passing check_translations call."""
+    assert check_translations(gp, g) is None
+    return _peak(lambda: check_translations(gp, g))
 
 
 @pytest.mark.parametrize("q,l_small,l_large", [(199, 1, 11), (7, 50, 250)])
@@ -365,6 +461,14 @@ def test_translation_check_allocates_no_per_vertex_array(monkeypatch, q, l_small
     growth = _translation_check_peak(large[0], large[3]) - _translation_check_peak(small[0], small[3])
     added_blocks = 4 * (l_large - l_small)
     assert growth < 256 * added_blocks
+
+
+@pytest.mark.parametrize("case", LARGE_CAYLEY, ids=["m2-q199-l11", "m3-q197-l4-psi1"])
+def test_translation_check_peaks_below_the_mu_scan(case):
+    # the check runs before the scan from vertex 0 in a certificate, so it
+    # must not set the peak
+    gp, _, _, g = _cayley(*case)
+    assert _translation_check_peak(gp, g) <= _peak(lambda: check_strongly_regular(g, None, (0,)))
 
 
 def test_translations_pass_on_edgeless_graph(x1):
@@ -555,6 +659,19 @@ def test_certificate_spread_must_partition_vertices(monkeypatch, x1, edit):
     cert = assemble_certificate(gp, pi, None, g)
     check = next(c for c in cert.checks if c["name"] == "clique_spread")
     assert check == {"name": "clique_spread", "pass": False, "detail": "cliques do not partition the vertex set"}
+
+
+@pytest.mark.parametrize("n", [8, 27, 29])
+def test_certificate_of_a_graph_with_another_vertex_count_fails(x1, n):
+    gp, pi, _, g = x1
+    other = Graph.from_edges(n, [(u, v) for u, v in edge_list(g) if v < n])
+    cert = assemble_certificate(gp, pi, None, other)
+    assert cert.first_failure() == "vertex_transitive"
+    assert not cert.passed
+    checks = {c["name"]: c for c in cert.checks}
+    assert not checks["clique_spread"]["pass"]
+    if n == 8:  # both mu witnesses, vertices 9 and 23, lie beyond the graph
+        assert checks["mu_witnesses"]["detail"] == "mismatches [(1, 2, None), (3, 4, None)]"
 
 
 def test_certificate_l2_fails_edge_regularity():

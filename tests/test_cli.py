@@ -219,15 +219,27 @@ GOLDEN_SHA256 = {
     # recorded from the per-element build, before rows were assembled block by block
     ("export", "--m", "2", "--q", "49", "--l", "4"): "8a9d95bbd8679fccb166285aa0588b180c1f85907728bd8ab32e31dc7419fd0d",
     ("export", "--m", "3", "--q", "29", "--variant", "psi1"): "2f8603969b430ef1bb3b42c9cdd56b6f3310c1d84ad9315e07feafdc3ec0d5c5",
+    # recorded while block translations were still checked by sorting every image
+    ("certify", "--m", "2", "--q", "199", "--l", "11"): "e989d985dfc4dc9a10dbf1c954f361348e442f9dbf7bd48f8320250ec0fcbe48",
+    ("certify", "--m", "3", "--q", "197", "--l", "4", "--variant", "psi1"): "2edf3bdd4529b581bb05c21e7859318de20a8fe2d3cc090b63a6772d94f93d1c",
+}
+
+# certificates that fail (exit 1), recorded at the same commit as the two above
+GOLDEN_FAILING_SHA256 = {
+    ("certify", "--m", "2", "--q", "7", "--l", "2"): "50f716123fa37b83605ea32d46d9d0a4b1d1760132a3f04ece4ce893bec71389",
+    ("certify", "--m", "2", "--q", "13", "--l", "3"): "30249323d90b7aeec999e8a69973d1f159e95965293d9303ad3c164031804181",
+    ("certify", "--m", "3", "--q", "29", "--variant", "psi2"): "8d4eebab321a6fe0ca570fce2de6392790bf2b2ecdf96382cd24dc41041354f5",
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+@pytest.mark.parametrize(
+    "argv", list(GOLDEN_SHA256) + list(GOLDEN_FAILING_SHA256), ids=lambda argv: "-".join(a.lstrip("-") for a in argv)
+)
 def test_outputs_match_recorded_bytes(capsys, tmp_path, argv):
     path = tmp_path / "out"
     code, _, _ = run_cli(capsys, *argv, "--out", str(path))
-    assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
+    assert code == (1 if argv in GOLDEN_FAILING_SHA256 else 0)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == {**GOLDEN_SHA256, **GOLDEN_FAILING_SHA256}[argv]
 
 
 # sha256 of stdout, recorded before the exp/log tables were built by doubling
