@@ -23,7 +23,7 @@ from .construction import (
     validate_bijection,
 )
 from .cyclotomy import cyclotomic_table, make_context
-from .errors import BadCongruence, FieldTooLarge, GraphTooLarge, RegcliqueError
+from .errors import BadCongruence, FieldTooLarge, GraphTooLarge, RegcliqueError, SearchTooLarge
 from .fields import build_field, find_primitive_element
 from .graphcore import Graph
 from .numtheory import prime_power_decompose, search_m2, search_m3
@@ -184,7 +184,10 @@ def _build_graph(parser, args):
 def _cmd_search(parser, args) -> int:
     if args.q_max < 2:
         parser.error("--q-max must be at least 2")
-    records = search_m2(args.q_max) if args.m == 2 else search_m3(args.q_max)
+    try:
+        records = search_m2(args.q_max) if args.m == 2 else search_m3(args.q_max)
+    except (SearchTooLarge, FieldTooLarge) as exc:
+        parser.error(str(exc))
     for record in records:
         print(record.summary())
     return 0

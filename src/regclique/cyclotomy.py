@@ -3,16 +3,20 @@
 For a fixed primitive element rho and n | q-1, the class of index i collects
 the nonzero elements whose discrete log is congruent to i mod n, and the
 cyclotomic number c(a, b) counts elements x of class a with x + 1 of class b.
-Everything here is computed straight from these definitions; the computations
-double as the oracle against which the package's identity checks are run.
+The classes are the cosets of the subgroup <rho**n>: class 0 lists the powers
+of rho**n and class i is rho**i times class 0, so no discrete-log table is
+needed. Everything here is computed straight from these definitions; the
+computations double as the oracle against which the package's identity
+checks are run.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadCongruence, IndexOutOfRange, WrongN
-from .fields import Field, PrimitiveData, dlog
+from .fields import Field, PrimitiveData, dlog, powers
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,29 @@ class CyclotomicContext:
     pd: PrimitiveData
     n: int
     r: int | None
+    _cache: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def coset(self, i: int) -> np.ndarray:
+        """Class i as int64 codes, rho**i * <rho**n> in exponent order; made on first use."""
+        if not 0 <= i < self.n:
+            raise IndexOutOfRange(f"class index {i} not in [0, {self.n})")
+        key = ("coset", i)
+        if key not in self._cache:
+            if i == 0:
+                rho_n = self.field.pow(self.pd.rho, self.n)
+                self._cache[key] = powers(self.field, rho_n, (self.field.q - 1) // self.n)
+            else:
+                self._cache[key] = self.field.mul_array(self.coset(0), self.field.pow(self.pd.rho, i))
+        return self._cache[key]
+
+    def mask(self, i: int) -> np.ndarray:
+        """q-entry flags of the members of class i; made on first use."""
+        key = ("mask", i)
+        if key not in self._cache:
+            flags = np.zeros(self.field.q, dtype=bool)
+            flags[self.coset(i)] = True
+            self._cache[key] = flags
+        return self._cache[key]
 
 
 def make_context(field: Field, pd: PrimitiveData, n: int) -> CyclotomicContext:
@@ -43,23 +70,22 @@ def class_index(ctx: CyclotomicContext, x: int) -> int:
 
 
 def cyclotomic_number(ctx: CyclotomicContext, a: int, b: int) -> int:
-    """|(C(a) + 1) & C(b)|, by iterating C(a) and classifying each shift."""
+    """|(C(a) + 1) & C(b)|: the members of C(a), each plus one, flagged in C(b)."""
     if not (0 <= a < ctx.n and 0 <= b < ctx.n):
         raise IndexOutOfRange(f"pair ({a}, {b}) not in [0, {ctx.n})^2")
-    shifted = ctx.field.add_array(ctx.pd.exp[a :: ctx.n], 1)
-    shifted = shifted[shifted != 0]
-    return int(np.count_nonzero(ctx.pd.log[shifted] % ctx.n == b))
+    return int(np.count_nonzero(ctx.mask(b)[ctx.field.add_array(ctx.coset(a), 1)]))
 
 
 def cyclotomic_table(ctx: CyclotomicContext) -> np.ndarray:
     """Full n x n table of cyclotomic numbers, one pass over the nonzero elements."""
-    n = ctx.n
-    js = np.arange(ctx.field.q - 1, dtype=np.int64)
-    shifted = ctx.field.add_array(ctx.pd.exp, 1)
+    n, q = ctx.n, ctx.field.q
+    cls = np.empty(q, dtype=np.int64)
+    for i in range(n):
+        cls[ctx.coset(i)] = i
+    xs = np.arange(1, q, dtype=np.int64)
+    shifted = ctx.field.add_array(xs, 1)
     keep = shifted != 0
-    a = js[keep] % n
-    b = ctx.pd.log[shifted[keep]] % n
-    return np.bincount(a * n + b, minlength=n * n).reshape(n, n)
+    return np.bincount(cls[xs[keep]] * n + cls[shifted[keep]], minlength=n * n).reshape(n, n)
 
 
 def c3_parity_even(ctx: CyclotomicContext) -> bool:

@@ -57,6 +57,10 @@ class GraphTooLarge(RegcliqueError):
     """Raised before building a graph whose footprint would not fit in memory."""
 
 
+class SearchTooLarge(RegcliqueError):
+    """Raised before a parameter search whose prime sieve and prime list would not fit in memory."""
+
+
 class FieldTooLarge(RegcliqueError):
     """Raised before building field tables that would not fit in memory or in int64 arithmetic."""
 

@@ -6,14 +6,19 @@ prime-field case (a = 1) is plain residue arithmetic. All choices made during
 construction (modulus, primitive element) are deterministic so that repeated
 runs produce identical fields.
 
-The discrete-log tables of a primitive element rho are built by doubling:
-with exp[:n] = rho**0 .. rho**(n-1) known, exp[n:2n] is exp[:n] times rho**n,
-one vectorised multiplication by a single element, so a table takes about
-log2(q) numpy steps. Multiplying codes by y is multiplication by a fixed
-matrix over Z_p on their base-p digits (for a = 1, codes * y % p).
+`powers(field, g, count)` lists g**0 .. g**(count-1) by doubling: with out[:n]
+known, out[n:2n] is out[:n] times g**n, one vectorised multiplication by a
+single element, so a list takes about log2(count) numpy steps. Multiplying
+codes by y (`Field.mul_array`) is multiplication by a fixed matrix over Z_p on
+their base-p digits (for a = 1, codes * y % p). The discrete-log tables of a
+primitive element rho are `powers(field, rho, q - 1)` and its inverse; they
+are built on first read, so callers that never read them (the parameter
+search, which takes its cyclotomic classes from `powers` of rho**n) never pay
+for them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +152,25 @@ class Field:
             k >>= 1
         return r
 
+    def mul_array(self, codes: np.ndarray, y: int) -> np.ndarray:
+        """Vectorised product of an int64 array of codes with a single element y.
+
+        For a > 1 the codes are taken TABLE_BLOCK at a time, which bounds
+        their a-row digit arrays.
+        """
+        p = self.p
+        if self.a == 1:
+            return codes * y % p
+        # column i holds the coefficients of x**i * y (x**i has code p**i), so the
+        # product's digits are this matrix times the digits of codes, mod p
+        place = p ** np.arange(self.a, dtype=np.int64)
+        matrix = np.array([self.coeffs(self.mul(int(v), y)) for v in place], dtype=np.int64).T
+        out = np.empty_like(codes)
+        for i in range(0, len(codes), TABLE_BLOCK):
+            digits = codes[i : i + TABLE_BLOCK] // place[:, None] % p
+            out[i : i + TABLE_BLOCK] = place @ (matrix @ digits % p)
+        return out
+
     def add_array(self, codes: np.ndarray, s: int) -> np.ndarray:
         """Vectorized addition of a single element s to an array of codes."""
         if self.a == 1:
@@ -169,19 +193,6 @@ def build_field(p: int, a: int) -> Field:
     return Field(p=p, a=a, q=p**a, modulus=modulus)
 
 
-@dataclass(frozen=True)
-class PrimitiveData:
-    """A primitive element rho with full discrete-log tables.
-
-    exp[j] = rho**j for j in {0, ..., q-2}; log[x] = dlog of the element with
-    code x, with log[0] = -1 as a sentinel (zero has no logarithm).
-    """
-
-    rho: int
-    exp: np.ndarray
-    log: np.ndarray
-
-
 def factorize(n: int) -> dict:
     """{prime: exponent} for n >= 1 ({} below 2), by trial division by 2 and the odd numbers."""
     out = {}
@@ -200,19 +211,6 @@ def _has_full_order(field: Field, x: int, prime_factors) -> bool:
     return all(field.pow(x, (field.q - 1) // f) != 1 for f in prime_factors)
 
 
-def _mul_array(field: Field, codes: np.ndarray, y: int) -> np.ndarray:
-    """Vectorised product of an int64 array of codes with a single element y."""
-    p = field.p
-    if field.a == 1:
-        return codes * y % p
-    # column i holds the coefficients of x**i * y (x**i has code p**i), so the
-    # product's digits are this matrix times the digits of codes, mod p
-    powers = p ** np.arange(field.a, dtype=np.int64)
-    matrix = np.array([field.coeffs(field.mul(int(power), y)) for power in powers], dtype=np.int64).T
-    digits = codes // powers[:, None] % p
-    return powers @ (matrix @ digits % p)
-
-
 def _check_table_footprint(field: Field) -> None:
     """Refuse tables that would not fit in memory or whose products would overflow int64."""
     if field.a * field.p**2 >= 2**63:
@@ -226,34 +224,59 @@ def _check_table_footprint(field: Field) -> None:
         )
 
 
-def _tables_for(field: Field, rho: int) -> PrimitiveData:
-    _check_table_footprint(field)
-    q = field.q
-    exp = np.empty(q - 1, dtype=np.int64)
-    exp[0] = 1
-    n, step = 1, rho  # invariant: exp[:n] is filled and step = rho**n
-    while n < q - 1:
-        m = min(n, q - 1 - n)
+def powers(field: Field, g: int, count: int) -> np.ndarray:
+    """The int64 codes of g**0, ..., g**(count-1), by doubling."""
+    out = np.empty(count, dtype=np.int64)
+    out[:1] = 1
+    n, step = 1, g  # invariant: out[:n] is filled and step = g**n
+    while n < count:
+        m = min(n, count - n)
         for i in range(0, m, TABLE_BLOCK):
             j = min(m, i + TABLE_BLOCK)
-            exp[n + i : n + j] = _mul_array(field, exp[i:j], step)
+            out[n + i : n + j] = field.mul_array(out[i:j], step)
         step = field.mul(step, step)
         n += m
-    log = np.full(q, -1, dtype=np.int64)
-    for i in range(0, q - 1, TABLE_BLOCK):
-        log[exp[i : i + TABLE_BLOCK]] = np.arange(i, min(q - 1, i + TABLE_BLOCK))
-    return PrimitiveData(rho=rho, exp=exp, log=log)
+    return out
+
+
+@dataclass(frozen=True)
+class PrimitiveData:
+    """A primitive element rho of field, with discrete-log tables built on first read.
+
+    exp[j] = rho**j for j in {0, ..., q-2}; log[x] = dlog of the element with
+    code x, with log[0] = -1 as a sentinel (zero has no logarithm).
+    """
+
+    rho: int
+    field: Field
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        return powers(self.field, self.rho, self.field.q - 1)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        q, exp = self.field.q, self.exp
+        log = np.full(q, -1, dtype=np.int64)
+        for i in range(0, q - 1, TABLE_BLOCK):
+            log[exp[i : i + TABLE_BLOCK]] = np.arange(i, min(q - 1, i + TABLE_BLOCK))
+        return log
 
 
 def find_primitive_element(field: Field) -> PrimitiveData:
-    """First element of multiplicative order q-1 in ascending code order (2, 3, ...)."""
+    """First element of multiplicative order q-1 in ascending code order (2, 3, ...).
+
+    Refuses (FieldTooLarge) a field whose discrete-log tables could not be
+    built, although they are only built when read.
+    """
+    _check_table_footprint(field)
     if field.q == 2:
-        return _tables_for(field, 1)
+        return PrimitiveData(1, field)
     factors = list(factorize(field.q - 1))
     # when a > 1 the codes below p form the prime subfield, whose orders divide p - 1 < q - 1
     for cand in range(field.p if field.a > 1 else 2, field.q):
         if _has_full_order(field, cand, factors):
-            return _tables_for(field, cand)
+            return PrimitiveData(cand, field)
     raise AssertionError(f"no primitive element found in GF({field.q})")
 
 

@@ -5,17 +5,19 @@ factored-order reduction), so search output is reproducible bit for bit.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 
 from .cyclotomy import make_context, cyclotomic_number
-from .errors import NotCoprime
+from .errors import NotCoprime, SearchTooLarge
 from .fields import build_field, factorize, find_primitive_element, is_prime
+from .graphcore import memory_limit
 
 __all__ = [
     "is_prime",
     "primes_up_to",
     "prime_power_decompose",
     "prime_powers",
+    "sieve_bytes",
     "multiplicative_order",
     "order_profile",
     "SearchRecordM2",
@@ -43,8 +45,30 @@ def prime_power_decompose(q: int):
     return next(iter(factors.items())) if len(factors) == 1 else None
 
 
+# Bytes per prime up to the limit: a Python int and its list slot in the
+# prime list, and a (q, p, a) tuple and its slot in prime_powers' list
+PRIME_BYTES = 112
+
+
+def sieve_bytes(limit: int) -> int:
+    """Bytes prime_powers(limit) takes: a one-byte sieve entry per integer plus
+    PRIME_BYTES per prime, counted by Rosser and Schoenfeld's bound pi(x) < 1.25506 x / ln x."""
+    primes = 1.25506 * limit / log(limit) if limit > 1 else 0
+    return limit + 1 + int(PRIME_BYTES * primes)
+
+
 def prime_powers(limit: int):
-    """All (q, p, a) with q = p**a <= limit, ascending in q."""
+    """All (q, p, a) with q = p**a <= limit, ascending in q.
+
+    Refuses (SearchTooLarge) a limit whose sieve and prime list would exceed
+    half of this host's physical memory.
+    """
+    need, available = sieve_bytes(limit), memory_limit()
+    if need > available:
+        raise SearchTooLarge(
+            f"listing the prime powers up to {limit} needs about {need / 1e9:.1f} GB, "
+            f"more than half of the {2 * available / 1e9:.1f} GB of physical memory"
+        )
     out = []
     for p in primes_up_to(limit):
         q, a = p, 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import regclique
-from regclique import cli, graphcore
+from regclique import cli, fields, graphcore, numtheory
 from regclique.cli import main
 from regclique.construction import check_graph_fits
 from regclique.errors import GraphTooLarge
@@ -247,6 +247,9 @@ GOLDEN_STDOUT_SHA256 = {
     ("search", "--m", "2", "--q-max", "2000"): "bbb055cff79dddd787dc758eb9ee0084df9a0ff9f53c9ee290d388c656ad4d2c",
     ("search", "--m", "3", "--q-max", "3000"): "1c12a5b5201591bb696d1520ee03c04b219d05fa5e08794ff4c4abc62869f7a3",
     ("cyclotab", "--q", "29", "--n", "7"): "3c4724cee0d74d3bc7decdbc2a64b70f5aab9d84ba119f24ace0c6d5f25bd807",
+    # the benchmark's search_wide calls, recorded before classes were taken as cosets of <rho**n>
+    ("search", "--m", "2", "--q-max", "20000"): "951555b24094ff5f33901ab1efd2dcc0f512f315cbdf311d694c218aa0be7619",
+    ("search", "--m", "3", "--q-max", "20000"): "d3daa823db74d35d9072582938fe68bd560da1cbb5ff5744611d70fea2f65c53",
 }
 
 
@@ -255,6 +258,28 @@ def test_stdout_matches_recorded_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [("search", "--m", "2", "--q-max", "2000"), ("search", "--m", "3", "--q-max", "3000")])
+def test_search_reads_no_discrete_log_table(monkeypatch, capsys, argv):
+    def unread(pd):
+        raise AssertionError(f"the search read a discrete-log table of GF({pd.field.q})")
+
+    for table in ("exp", "log"):
+        monkeypatch.setattr(fields.PrimitiveData, table, property(unread))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def test_search_refuses_a_field_the_table_guard_refuses(monkeypatch, capsys):
+    monkeypatch.setattr(fields, "memory_limit", lambda: 16 * 1000)  # GF(q) for q <= 1000 only
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--m", "2", "--q-max", "2000"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "GF(1009) needs about 0.0 GB for its exp/log tables" in out.err
+    assert out.out == ""
 
 
 def _limit_address_space():
@@ -337,4 +362,15 @@ def test_cyclotab_refuses_field_beyond_int64_products():
     proc = _run_cli_limited("cyclotab", "--q", str(p), "--n", "1")
     assert proc.returncode == 2, proc.stderr
     assert f"GF({p}) is too large for int64 table arithmetic" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_search_refuses_prime_list_beyond_memory():
+    q_max = 10**11
+    need = numtheory.sieve_bytes(q_max)
+    if _host_could_hold(need):
+        pytest.skip("this host could hold the sieve and the prime list")
+    proc = _run_cli_limited("search", "--m", "2", "--q-max", str(q_max))
+    assert proc.returncode == 2, proc.stderr
+    assert f"listing the prime powers up to {q_max} needs about {need / 1e9:.1f} GB" in proc.stderr
     assert proc.stdout == ""

@@ -9,7 +9,7 @@ from regclique.cyclotomy import (
     make_context,
 )
 from regclique.errors import BadCongruence, IndexOutOfRange, WrongN, ZeroHasNoLog
-from regclique.fields import _tables_for, build_field, find_primitive_element
+from regclique.fields import PrimitiveData, build_field, find_primitive_element
 from regclique.numtheory import prime_powers
 
 from reference import cyclotomic_class, naive_primitive_elements
@@ -53,6 +53,31 @@ def test_cyclotomic_class(gf7_n3):
         assert len(cyclotomic_class(gf7_n3, i)) == 2
     with pytest.raises(IndexOutOfRange):
         cyclotomic_class(gf7_n3, 3)
+
+
+@pytest.mark.parametrize(
+    "p,a,n", [(7, 1, 3), (13, 1, 3), (5, 2, 3), (7, 2, 3), (7, 3, 3), (29, 1, 7), (43, 1, 7), (3, 6, 7)]
+)
+def test_cosets_and_cyclotomic_numbers_match_naive_sets(p, a, n):
+    ctx = context(p, a, n)
+    classes = [cyclotomic_class(ctx, i) for i in range(n)]
+    for i in range(n):
+        coset = ctx.coset(i).tolist()
+        assert len(coset) == len(classes[i]) and set(coset) == classes[i]
+        assert coset == ctx.pd.exp[i::n].tolist()  # rho**(i + n*k) in the order of k
+    table = cyclotomic_table(ctx)
+    for i in range(n):
+        shifted = {ctx.field.add(x, 1) for x in classes[i]}
+        for j in range(n):
+            expected = len(shifted & classes[j])
+            assert cyclotomic_number(ctx, i, j) == expected
+            assert table[i][j] == expected
+
+
+def test_coset_index_checked(gf7_n3):
+    for i in (-1, 3):
+        with pytest.raises(IndexOutOfRange):
+            gf7_n3.coset(i)
 
 
 def test_cyclotomic_numbers_gf7(gf7_n3):
@@ -117,7 +142,7 @@ def test_c12_invariant_under_primitive_element_change(p, a):
     field = build_field(p, a)
     values = set()
     for rho in naive_primitive_elements(field):
-        ctx = make_context(field, _tables_for(field, rho), 3)
+        ctx = make_context(field, PrimitiveData(rho, field), 3)
         values.add(cyclotomic_number(ctx, 1, 2))
     assert len(values) == 1
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from reference import field_inv, naive_exp_table, naive_primitive_elements
 from regclique import fields
-from regclique.errors import ExponentZero, IndexOutOfRange, NotPrime, ZeroHasNoLog
-from regclique.fields import _mul_array, _tables_for, build_field, dlog, find_primitive_element, is_prime
+from regclique.errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, ZeroHasNoLog
+from regclique.fields import PrimitiveData, build_field, dlog, find_primitive_element, is_prime
 from regclique.numtheory import prime_powers
 
 
@@ -86,6 +86,20 @@ def test_primitive_element_gf49_regression():
     assert pd.rho == 9  # coefficients (2, 1): first full-order code in ascending order
     seen = {int(x) for x in pd.exp}
     assert len(seen) == 48
+
+
+def test_primitive_element_refuses_tables_beyond_memory_before_building_them(monkeypatch):
+    monkeypatch.setattr(fields, "memory_limit", lambda: 16 * 13)
+    assert find_primitive_element(build_field(13, 1)).rho == 2
+    with pytest.raises(FieldTooLarge, match=r"GF\(17\) needs about 0.0 GB for its exp/log tables"):
+        find_primitive_element(build_field(17, 1))
+
+
+def test_tables_are_built_on_first_read():
+    pd = find_primitive_element(build_field(13, 1))
+    assert "exp" not in vars(pd) and "log" not in vars(pd)
+    assert pd.log[pd.exp[5]] == 5
+    assert pd.exp is pd.exp and pd.log is pd.log
 
 
 def test_dlog_examples():
@@ -169,14 +183,16 @@ def test_tables_match_naive_on_every_field_up_to_2000():
 def test_tables_match_naive_for_every_primitive_element(p, a):
     f = build_field(p, a)
     for rho in naive_primitive_elements(f):
-        _assert_tables_match_naive(f, _tables_for(f, rho))
+        _assert_tables_match_naive(f, PrimitiveData(rho, f))
 
 
 @pytest.mark.parametrize("p,a", [(1009, 1), (7, 2), (3, 5)])
 def test_tables_match_naive_when_split_into_blocks(monkeypatch, p, a):
     monkeypatch.setattr(fields, "TABLE_BLOCK", 5)
     f = build_field(p, a)
-    _assert_tables_match_naive(f, find_primitive_element(f))
+    pd = find_primitive_element(f)
+    _assert_tables_match_naive(f, pd)
+    assert f.mul_array(pd.exp, pd.rho).tolist() == np.roll(pd.exp, -1).tolist()  # one product over many blocks
 
 
 @settings(max_examples=300, deadline=None)
@@ -188,7 +204,7 @@ def test_array_arithmetic_matches_scalar(pp, data):
     codes = data.draw(st.lists(element, min_size=1, max_size=50))
     y = data.draw(element)
     array = np.array(codes, dtype=np.int64)
-    assert _mul_array(f, array, y).tolist() == [f.mul(x, y) for x in codes]
+    assert f.mul_array(array, y).tolist() == [f.mul(x, y) for x in codes]
     assert f.add_array(array, y).tolist() == [f.add(x, y) for x in codes]
 
 

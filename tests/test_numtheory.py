@@ -2,7 +2,8 @@ from math import gcd
 
 import pytest
 
-from regclique.errors import NotCoprime
+from regclique import numtheory
+from regclique.errors import NotCoprime, SearchTooLarge
 from regclique.numtheory import (
     is_prime,
     multiplicative_order,
@@ -12,6 +13,7 @@ from regclique.numtheory import (
     primes_up_to,
     search_m2,
     search_m3,
+    sieve_bytes,
 )
 
 
@@ -39,6 +41,18 @@ def test_prime_powers_match_per_integer_decomposition():
     for limit in (0, 1, 2, 3, 4, 5000):
         expected = [(q, *prime_power_decompose(q)) for q in range(2, limit + 1) if prime_power_decompose(q)]
         assert prime_powers(limit) == expected
+
+
+def test_sieve_bytes_bounds_the_prime_list():
+    for limit in (2, 3, 30, 10**5):
+        assert sieve_bytes(limit) >= limit + 1 + numtheory.PRIME_BYTES * len(primes_up_to(limit))
+
+
+def test_prime_powers_refuse_a_sieve_beyond_memory(monkeypatch):
+    monkeypatch.setattr(numtheory, "memory_limit", lambda: sieve_bytes(1000))
+    assert prime_powers(1000)[-1] == (997, 997, 1)
+    with pytest.raises(SearchTooLarge, match="listing the prime powers up to 1001 needs about 0.0 GB"):
+        prime_powers(1001)
 
 
 def test_multiplicative_order():
