@@ -130,9 +130,15 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     for r0 in range(0, q, step):
         r1 = min(r0 + step, q)
         rows = adj[r0:r1]
-        fidx = rows % q
-        bases = rows - fidx
-        needs_sort[r0:r1] = (bases != bases0).any(axis=1) | (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
+        fidx = rows - bases0
+        # an entry outside [0, q) is in another column block than row 0's;
+        # only such rows are decoded with % q
+        other = (fidx.view(np.uint32) >= q).any(axis=1)
+        needs_sort[r0:r1] = other | (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
+        bases = bases0
+        if other.any():
+            fidx[other] = rows[other] % q
+            bases = rows - fidx
         for n, fmap in enumerate(field_maps, n_blocks):
             image = np.take(fmap, fidx)  # np.take gathers by int32 indices faster than [] indexing
             image += bases

@@ -5,9 +5,13 @@ the nonzero elements whose discrete log is congruent to i mod n, and the
 cyclotomic number c(a, b) counts elements x of class a with x + 1 of class b.
 The classes are the cosets of the subgroup <rho**n>: class 0 lists the powers
 of rho**n and class i is rho**i times class 0, so no discrete-log table is
-needed. Everything here is computed straight from these definitions; the
-computations double as the oracle against which the package's identity
-checks are run.
+needed. Since rho**n lies in class 0, every cyclotomic number is counted on
+class 0 alone: x = rho**a * y with y in class 0 has x + 1 in class b exactly
+when rho**(n+a-b) * y + rho**(n-b) is in class 0. A context makes class 0
+and its mask once and keeps each c(a, b) it counts, so `cyclotomic_number`
+never makes another class; `cyclotomic_table` (the `cyclotab` command)
+labels every element from all n classes and counts the n**2 numbers in one
+pass.
 """
 
 import dataclasses
@@ -47,14 +51,13 @@ class CyclotomicContext:
                 self._cache[key] = self.field.mul_array(self.coset(0), self.field.pow(self.pd.rho, i))
         return self._cache[key]
 
-    def mask(self, i: int) -> np.ndarray:
-        """q-entry flags of the members of class i; made on first use."""
-        key = ("mask", i)
-        if key not in self._cache:
+    def mask(self) -> np.ndarray:
+        """q-entry flags of the members of class 0; made on first use."""
+        if "mask" not in self._cache:
             flags = np.zeros(self.field.q, dtype=bool)
-            flags[self.coset(i)] = True
-            self._cache[key] = flags
-        return self._cache[key]
+            flags[self.coset(0)] = True
+            self._cache["mask"] = flags
+        return self._cache["mask"]
 
 
 def make_context(field: Field, pd: PrimitiveData, n: int) -> CyclotomicContext:
@@ -70,10 +73,20 @@ def class_index(ctx: CyclotomicContext, x: int) -> int:
 
 
 def cyclotomic_number(ctx: CyclotomicContext, a: int, b: int) -> int:
-    """|(C(a) + 1) & C(b)|: the members of C(a), each plus one, flagged in C(b)."""
+    """|(C(a) + 1) & C(b)|, counted on C(0) and kept in the context.
+
+    C(b) = rho**b * C(0), so x = rho**a * y (y in C(0)) has x + 1 in C(b)
+    exactly when rho**(a-b) * y + rho**(-b) is in C(0); both terms are
+    multiplied by rho**n, a member of C(0), to keep the exponents in [0, 2n).
+    """
     if not (0 <= a < ctx.n and 0 <= b < ctx.n):
         raise IndexOutOfRange(f"pair ({a}, {b}) not in [0, {ctx.n})^2")
-    return int(np.count_nonzero(ctx.mask(b)[ctx.field.add_array(ctx.coset(a), 1)]))
+    key = ("c", a, b)
+    if key not in ctx._cache:
+        field, rho, n = ctx.field, ctx.pd.rho, ctx.n
+        moved = field.mul_add_array(ctx.coset(0), field.pow(rho, n + a - b), field.pow(rho, n - b))
+        ctx._cache[key] = int(np.count_nonzero(ctx.mask()[moved]))
+    return ctx._cache[key]
 
 
 def cyclotomic_table(ctx: CyclotomicContext) -> np.ndarray:

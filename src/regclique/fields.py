@@ -8,13 +8,14 @@ runs produce identical fields.
 
 `powers(field, g, count)` lists g**0 .. g**(count-1) by doubling: with out[:n]
 known, out[n:2n] is out[:n] times g**n, one vectorised multiplication by a
-single element, so a list takes about log2(count) numpy steps. Multiplying
-codes by y (`Field.mul_array`) is multiplication by a fixed matrix over Z_p on
-their base-p digits (for a = 1, codes * y % p). The discrete-log tables of a
+single element, so a list takes about log2(count) numpy steps (for a = 1 a
+multiply and a remainder written in place). Multiplying codes by y
+(`Field.mul_array`) is multiplication by a fixed matrix over Z_p on their
+base-p digits (for a = 1, codes * y % p). The discrete-log tables of a
 primitive element rho are `powers(field, rho, q - 1)` and its inverse; they
 are built on first read, so callers that never read them (the parameter
-search, which takes its cyclotomic classes from `powers` of rho**n) never pay
-for them.
+search, which counts every cyclotomic number on class 0, the `powers` of
+rho**n) never pay for them.
 """
 
 from dataclasses import dataclass
@@ -142,6 +143,11 @@ class Field:
         return self.code(_poly_mul_mod(self.coeffs(x), self.coeffs(y), self.modulus, self.p))
 
     def pow(self, x: int, k: int) -> int:
+        """x**k; a negative k takes powers of the inverse, which zero has not."""
+        if k < 0:
+            if x == 0:
+                raise ValueError(f"0 has no inverse in GF({self.q})")
+            k %= self.q - 1
         if self.a == 1:
             return pow(x, k, self.p)
         r, b = 1, x
@@ -170,6 +176,16 @@ class Field:
             digits = codes[i : i + TABLE_BLOCK] // place[:, None] % p
             out[i : i + TABLE_BLOCK] = place @ (matrix @ digits % p)
         return out
+
+    def mul_add_array(self, codes: np.ndarray, y: int, s: int) -> np.ndarray:
+        """Vectorised codes * y + s for single elements y and s.
+
+        For a = 1 this is one reduction mod p: (p-1)**2 + p-1 < p**2, which
+        `_check_table_footprint` keeps below 2**63.
+        """
+        if self.a == 1:
+            return (codes * y + s) % self.p
+        return self.add_array(self.mul_array(codes, y), s)
 
     def add_array(self, codes: np.ndarray, s: int) -> np.ndarray:
         """Vectorized addition of a single element s to an array of codes."""
@@ -225,16 +241,27 @@ def _check_table_footprint(field: Field) -> None:
 
 
 def powers(field: Field, g: int, count: int) -> np.ndarray:
-    """The int64 codes of g**0, ..., g**(count-1), by doubling."""
+    """The int64 codes of g**0, ..., g**(count-1), by doubling.
+
+    For a = 1 each step multiplies and reduces in place in `out`, with no
+    temporary; for a > 1 it goes through `Field.mul_array` TABLE_BLOCK codes
+    at a time.
+    """
     out = np.empty(count, dtype=np.int64)
     out[:1] = 1
     n, step = 1, g  # invariant: out[:n] is filled and step = g**n
     while n < count:
         m = min(n, count - n)
-        for i in range(0, m, TABLE_BLOCK):
-            j = min(m, i + TABLE_BLOCK)
-            out[n + i : n + j] = field.mul_array(out[i:j], step)
-        step = field.mul(step, step)
+        if field.a == 1:
+            dst = out[n : n + m]
+            np.multiply(out[:m], step, out=dst)
+            np.remainder(dst, field.p, out=dst)
+            step = step * step % field.p
+        else:
+            for i in range(0, m, TABLE_BLOCK):
+                j = min(m, i + TABLE_BLOCK)
+                out[n + i : n + j] = field.mul_array(out[i:j], step)
+            step = field.mul(step, step)
         n += m
     return out
 

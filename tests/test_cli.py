@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import regclique
-from regclique import cli, fields, graphcore, numtheory
+from regclique import cli, cyclotomy, fields, graphcore, numtheory
 from regclique.cli import main
 from regclique.construction import check_graph_fits
 from regclique.errors import GraphTooLarge
@@ -267,6 +267,21 @@ def test_search_reads_no_discrete_log_table(monkeypatch, capsys, argv):
 
     for table in ("exp", "log"):
         monkeypatch.setattr(fields.PrimitiveData, table, property(unread))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [("search", "--m", "2", "--q-max", "2000"), ("search", "--m", "3", "--q-max", "3000")])
+def test_search_builds_class_zero_only(monkeypatch, capsys, argv):
+    coset = cyclotomy.CyclotomicContext.coset
+
+    def class_zero_only(ctx, i):
+        if i > 0:
+            raise AssertionError(f"the search built class {i} of GF({ctx.field.q})")
+        return coset(ctx, i)
+
+    monkeypatch.setattr(cyclotomy.CyclotomicContext, "coset", class_zero_only)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

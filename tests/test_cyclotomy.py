@@ -74,6 +74,29 @@ def test_cosets_and_cyclotomic_numbers_match_naive_sets(p, a, n):
             assert table[i][j] == expected
 
 
+def test_class_zero_counts_match_naive_sets_up_to_500():
+    # every prime power q <= 500 (GF(2) with n = 1 and GF(4) with n = 3 included)
+    # and every n <= 8 dividing q - 1
+    cases = [(p, a, n) for q, p, a in prime_powers(500) for n in range(1, 9) if (q - 1) % n == 0]
+    assert {(2, 1, 1), (2, 2, 3), (3, 5, 2), (2, 8, 5)} <= set(cases)
+    for p, a, n in cases:
+        ctx = context(p, a, n)
+        classes = [cyclotomic_class(ctx, i) for i in range(n)]
+        for i in range(n):
+            shifted = {ctx.field.add(x, 1) for x in classes[i]}
+            for j in range(n):
+                assert cyclotomic_number(ctx, i, j) == len(shifted & classes[j]), (p, a, n, i, j)
+
+
+@pytest.mark.parametrize("p,a,n", [(29, 1, 7), (7, 2, 3), (2, 2, 3)])
+def test_memoised_numbers_match_a_fresh_context(p, a, n):
+    ctx = context(p, a, n)
+    first = [[cyclotomic_number(ctx, i, j) for j in range(n)] for i in range(n)]
+    again = [[cyclotomic_number(ctx, i, j) for j in range(n)] for i in range(n)]
+    fresh = [[cyclotomic_number(context(p, a, n), i, j) for j in range(n)] for i in range(n)]
+    assert first == again == fresh == cyclotomic_table(ctx).tolist()
+
+
 def test_coset_index_checked(gf7_n3):
     for i in (-1, 3):
         with pytest.raises(IndexOutOfRange):

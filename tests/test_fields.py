@@ -202,10 +202,40 @@ def test_array_arithmetic_matches_scalar(pp, data):
     f = build_field(p, a)
     element = st.integers(0, f.q - 1)
     codes = data.draw(st.lists(element, min_size=1, max_size=50))
-    y = data.draw(element)
+    y, s = data.draw(element), data.draw(element)
     array = np.array(codes, dtype=np.int64)
     assert f.mul_array(array, y).tolist() == [f.mul(x, y) for x in codes]
     assert f.add_array(array, y).tolist() == [f.add(x, y) for x in codes]
+    assert f.mul_add_array(array, y, s).tolist() == [f.add(f.mul(x, y), s) for x in codes]
+
+
+def test_mul_add_array_at_the_largest_prime_codes():
+    # (p-1) * (p-1) + p - 1 is the largest sum a = 1 reduces at once
+    for p in (7, 10007, 2**31 - 1):
+        f = build_field(p, 1)
+        codes = np.array([0, 1, p - 1], dtype=np.int64)
+        assert f.mul_add_array(codes, p - 1, p - 1).tolist() == [p - 1, p - 2, 0]
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (7, 1), (10007, 1), (5, 2), (3, 3)])
+def test_powers_match_scalar_pow(p, a):
+    f = build_field(p, a)
+    for g in sorted({0, 1, find_primitive_element(f).rho, f.q - 1}):
+        for count in (0, 1, 2, 3, f.q - 1):
+            assert fields.powers(f, g, count).tolist() == [f.pow(g, j) for j in range(count)]
+
+
+@pytest.mark.parametrize("p,a", [(7, 1), (5, 2), (3, 3)])
+def test_pow_with_negative_exponent_inverts(p, a):
+    f = build_field(p, a)
+    for x in range(1, f.q):
+        assert f.mul(x, f.pow(x, -1)) == 1
+        assert f.pow(x, -1) == field_inv(f, x)
+        for k in (2, 5, f.q - 1, f.q + 3):
+            assert f.pow(x, -k) == f.pow(f.pow(x, -1), k)
+    with pytest.raises(ValueError):
+        f.pow(0, -1)
+    assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0
 
 
 @settings(max_examples=300, deadline=None)
