@@ -24,7 +24,7 @@ from .construction import (
 )
 from .cyclotomy import cyclotomic_table, make_context
 from .errors import BadCongruence, FieldTooLarge, GraphTooLarge, RegcliqueError, SearchTooLarge
-from .fields import build_field, find_primitive_element
+from .fields import build_field, check_table_footprint, field_order, find_primitive_element
 from .graphcore import Graph
 from .numtheory import prime_power_decompose, search_m2, search_m3
 
@@ -104,7 +104,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_field(parser, args):
+def _resolve_order(parser, args):
+    """(p, a) of the field a command names, validated without searching a modulus.
+
+    Callers run their size checks on p**a before `build_field`, whose modulus
+    search would take exponential time on a field too large to use.
+    """
     if args.q is not None:
         pp = prime_power_decompose(args.q)
         if pp is None:
@@ -117,9 +122,10 @@ def _resolve_field(parser, args):
     else:
         parser.error("a field is required: give --q or --p (with --a)")
     try:
-        return build_field(p, a)
+        field_order(p, a)
     except RegcliqueError as exc:
         parser.error(str(exc))
+    return p, a
 
 
 def _resolve_pi(parser, args):
@@ -141,19 +147,17 @@ def _resolve_pi(parser, args):
 
 
 def _resolve_construction(parser, args):
-    """The validated field, bijection and variant name of a graph command."""
+    """(p, a), bijection and variant name of a graph command, validated without building the field."""
     if args.m < 2:
         parser.error("m must be at least 2")
     if args.l < 1:
         parser.error("l must be at least 1")
-    field = _resolve_field(parser, args)
-    two_n = 2 * ((1 << args.m) - 1)
-    if field.q % two_n != 1:
-        parser.error(
-            f"q = {field.q} is not 1 mod {two_n}: the connection set would not be symmetric"
-        )
+    p, a = _resolve_order(parser, args)
+    q, two_n = p**a, 2 * ((1 << args.m) - 1)
+    if q % two_n != 1:
+        parser.error(f"q = {q} is not 1 mod {two_n}: the connection set would not be symmetric")
     pi, variant = _resolve_pi(parser, args)
-    return field, pi, variant
+    return p, a, pi, variant
 
 
 def _primitive_element(parser, field):
@@ -164,11 +168,12 @@ def _primitive_element(parser, field):
 
 
 def _build_graph(parser, args):
-    field, pi, variant = _resolve_construction(parser, args)
+    p, a, pi, variant = _resolve_construction(parser, args)
     try:
-        check_graph_fits(args.l, args.m, field.q)  # before the field's tables, which are far smaller
+        check_graph_fits(args.l, args.m, p**a)  # before the field and its tables, which are far smaller
     except GraphTooLarge as exc:
         parser.error(str(exc))
+    field = build_field(p, a)
     gp = make_group(args.l, args.m, field, _primitive_element(parser, field))
     try:
         graph = build_cayley_graph(gp, generating_set(gp, pi))
@@ -194,8 +199,8 @@ def _cmd_search(parser, args) -> int:
 
 
 def _cmd_build(parser, args) -> int:
-    field, _, _ = _resolve_construction(parser, args)
-    n, k = graph_size(args.l, args.m, field.q)
+    p, a, _, _ = _resolve_construction(parser, args)
+    n, k = graph_size(args.l, args.m, p**a)
     print(f"N={n} k={k} M={n * k // 2}")
     return 0
 
@@ -224,9 +229,14 @@ def _cmd_export(parser, args) -> int:
 
 
 def _cmd_cyclotab(parser, args) -> int:
-    field = _resolve_field(parser, args)
+    p, a = _resolve_order(parser, args)
     if args.n < 1:
         parser.error("n must be at least 1")
+    try:
+        check_table_footprint(p, a)  # before the modulus search
+    except FieldTooLarge as exc:
+        parser.error(str(exc))
+    field = build_field(p, a)
     pd = _primitive_element(parser, field)
     try:
         ctx = make_context(field, pd, args.n)

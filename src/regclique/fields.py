@@ -6,20 +6,27 @@ prime-field case (a = 1) is plain residue arithmetic. All choices made during
 construction (modulus, primitive element) are deterministic so that repeated
 runs produce identical fields.
 
-`powers(field, g, count)` lists g**0 .. g**(count-1) by doubling: with out[:n]
-known, out[n:2n] is out[:n] times g**n, one vectorised multiplication by a
-single element, so a list takes about log2(count) numpy steps (for a = 1 a
-multiply and a remainder written in place). Multiplying codes by y
-(`Field.mul_array`) is multiplication by a fixed matrix over Z_p on their
-base-p digits (for a = 1, codes * y % p). The discrete-log tables of a
-primitive element rho are `powers(field, rho, q - 1)` and its inverse; they
-are built on first read, so callers that never read them (the parameter
-search, which counts every cyclotomic number on class 0, the `powers` of
-rho**n) never pay for them.
+Multiplying codes by y (`Field.mul_array`) is, for a = 1, codes * y % p and,
+for a > 1, multiplication by the a x a matrix of y over Z_p on their base-p
+digits. The matrix of y is y's digits contracted with the matrices of x**0 ..
+x**(a-1), which each field makes once (`Field.x_matrices`).
+
+`powers(field, g, count)` lists g**0 .. g**(count-1). For a = 1 it is one
+outer product (baby-step/giant-step): with b = ceil(sqrt(count)), row j of
+the giant powers g**(b*j) times the baby powers g**i holds g**(b*j + i), so
+the table in row-major order, reduced mod p in place, is the list. For a > 1
+it doubles: with out[:n] known, out[n:2n] is out[:n] times g**n, and the
+matrix of g**n squares to that of g**(2n), so a list takes about
+log2(count) matrix steps. The discrete-log tables of a primitive element
+rho are `powers(field, rho, q - 1)` and its inverse; they are built on first
+read, so callers that never read them (the parameter search, which counts
+every cyclotomic number on class 0, the `powers` of rho**n) never pay for
+them.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -34,24 +41,40 @@ def is_prime(n: int) -> bool:
     return factorize(n) == {n: 1}
 
 
+def _reduce(t: np.ndarray, p: int) -> np.ndarray:
+    """t mod p in place for non-negative int64 t, TABLE_BLOCK entries at a time.
+
+    t - t // p * p takes numpy's divide-by-constant path, which np.remainder
+    has not; the blocks keep its temporaries small.
+    """
+    for i in range(0, len(t), TABLE_BLOCK):
+        block = t[i : i + TABLE_BLOCK]
+        block -= block // p * p
+    return t
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over Z_p, little-endian coefficient tuples
 
 
 def _poly_mul_mod(u, v, modulus, p):
-    """(u * v) mod modulus, with monic modulus of degree a; result length a."""
+    """(u * v) mod modulus, with monic modulus of degree a; result length a.
+
+    Coefficients are reduced mod p only where a leading one is eliminated and
+    at the end.
+    """
     a = len(modulus) - 1
     prod = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
         if ui:
             for j, vj in enumerate(v):
-                prod[i + j] = (prod[i + j] + ui * vj) % p
+                prod[i + j] += ui * vj
     for i in range(len(prod) - 1, a - 1, -1):
-        c = prod[i]
+        c = prod[i] % p
         if c:
-            for j in range(a + 1):
-                prod[i - a + j] = (prod[i - a + j] - c * modulus[j]) % p
-    return tuple(prod[:a])
+            for j in range(a):
+                prod[i - a + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:a])
 
 
 def _poly_divides(g, f, p):
@@ -150,41 +173,68 @@ class Field:
             k %= self.q - 1
         if self.a == 1:
             return pow(x, k, self.p)
-        r, b = 1, x
+        # square and multiply on coefficient tuples, with one conversion each way
+        r, b = (1,) + (0,) * (self.a - 1), self.coeffs(x)
         while k:
             if k & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
+                r = _poly_mul_mod(r, b, self.modulus, self.p)
             k >>= 1
-        return r
+            if k:
+                b = _poly_mul_mod(b, b, self.modulus, self.p)
+        return self.code(r)
 
-    def mul_array(self, codes: np.ndarray, y: int) -> np.ndarray:
-        """Vectorised product of an int64 array of codes with a single element y.
+    @cached_property
+    def x_matrices(self) -> np.ndarray:
+        """(a, a, a) int64 stack: entry j multiplies base-p digit vectors by x**j.
 
-        For a > 1 the codes are taken TABLE_BLOCK at a time, which bounds
-        their a-row digit arrays.
+        Column i of entry j holds the digits of x**(i+j). The 2a - 1 powers of
+        x (code p) are chained through `Field.mul`, so the matrices reduce by
+        the same modulus as the scalar products.
+        """
+        codes = [1]
+        for _ in range(2 * self.a - 2):
+            codes.append(self.mul(codes[-1], self.p))
+        digits = np.array([self.coeffs(c) for c in codes], dtype=np.int64)  # row k: the digits of x**k
+        return np.stack([digits[j : j + self.a].T for j in range(self.a)])
+
+    def matrix(self, y: int) -> np.ndarray:
+        """The a x a matrix over Z_p of multiplication by y on base-p digits (a > 1).
+
+        Its entries sum at most a products below p**2 before the reduction.
+        """
+        return np.tensordot(np.array(self.coeffs(y), dtype=np.int64), self.x_matrices, axes=1) % self.p
+
+    def apply_matrix(self, matrix: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
+        """Write to out the codes whose digits are matrix times those of codes, mod p.
+
+        Codes are taken TABLE_BLOCK at a time, which bounds their a-row digit
+        arrays; out may be any slice that does not overlap codes.
         """
         p = self.p
-        if self.a == 1:
-            return codes * y % p
-        # column i holds the coefficients of x**i * y (x**i has code p**i), so the
-        # product's digits are this matrix times the digits of codes, mod p
         place = p ** np.arange(self.a, dtype=np.int64)
-        matrix = np.array([self.coeffs(self.mul(int(v), y)) for v in place], dtype=np.int64).T
-        out = np.empty_like(codes)
         for i in range(0, len(codes), TABLE_BLOCK):
-            digits = codes[i : i + TABLE_BLOCK] // place[:, None] % p
-            out[i : i + TABLE_BLOCK] = place @ (matrix @ digits % p)
+            product = matrix @ (codes[i : i + TABLE_BLOCK] // place[:, None] % p)
+            np.remainder(product, p, out=product)
+            np.matmul(place, product, out=out[i : i + TABLE_BLOCK])
+
+    def mul_array(self, codes: np.ndarray, y: int) -> np.ndarray:
+        """Vectorised product of an int64 array of codes with a single element y."""
+        if self.a == 1:
+            return _reduce(codes * y, self.p)
+        out = np.empty_like(codes)
+        self.apply_matrix(self.matrix(y), codes, out)
         return out
 
     def mul_add_array(self, codes: np.ndarray, y: int, s: int) -> np.ndarray:
         """Vectorised codes * y + s for single elements y and s.
 
-        For a = 1 this is one reduction mod p: (p-1)**2 + p-1 < p**2, which
-        `_check_table_footprint` keeps below 2**63.
+        For a = 1 this is one reduction mod p, in place: (p-1)**2 + p-1 < p**2,
+        which `check_table_footprint` keeps below 2**63.
         """
         if self.a == 1:
-            return (codes * y + s) % self.p
+            out = codes * y
+            out += s
+            return _reduce(out, self.p)
         return self.add_array(self.mul_array(codes, y), s)
 
     def add_array(self, codes: np.ndarray, s: int) -> np.ndarray:
@@ -199,14 +249,23 @@ class Field:
         return out
 
 
-def build_field(p: int, a: int) -> Field:
-    """Validated GF(p^a); for a > 1 the reduction modulus is found deterministically."""
+def field_order(p: int, a: int) -> int:
+    """q = p**a after checking that p is prime and a positive; no modulus is searched."""
     if a < 1:
         raise ExponentZero(f"exponent must be positive, got {a}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    modulus = None if a == 1 else _find_modulus(p, a)
-    return Field(p=p, a=a, q=p**a, modulus=modulus)
+    return p**a
+
+
+def build_field(p: int, a: int) -> Field:
+    """Validated GF(p^a); for a > 1 the reduction modulus is found deterministically.
+
+    The modulus search trial-divides by every monic polynomial up to degree
+    a/2, so callers run their size checks on `field_order` first.
+    """
+    q = field_order(p, a)
+    return Field(p=p, a=a, q=q, modulus=None if a == 1 else _find_modulus(p, a))
 
 
 def factorize(n: int) -> dict:
@@ -227,41 +286,56 @@ def _has_full_order(field: Field, x: int, prime_factors) -> bool:
     return all(field.pow(x, (field.q - 1) // f) != 1 for f in prime_factors)
 
 
-def _check_table_footprint(field: Field) -> None:
-    """Refuse tables that would not fit in memory or whose products would overflow int64."""
-    if field.a * field.p**2 >= 2**63:
-        raise FieldTooLarge(f"GF({field.q}) is too large for int64 table arithmetic (p = {field.p})")
-    need = 16 * field.q
+def check_table_footprint(p: int, a: int) -> None:
+    """Refuse GF(p^a) tables that would not fit in memory or whose products would overflow int64.
+
+    Every product the tables take stays below a * p**2: the outer product of
+    `powers` below p**2 and the matrix sums of a > 1 below a * p**2.
+    """
+    q = p**a
+    if a * p**2 >= 2**63:
+        raise FieldTooLarge(f"GF({q}) is too large for int64 table arithmetic (p = {p})")
+    need = 16 * q
     limit = memory_limit()
     if need > limit:
         raise FieldTooLarge(
-            f"GF({field.q}) needs about {need / 1e9:.1f} GB for its exp/log tables, "
+            f"GF({q}) needs about {need / 1e9:.1f} GB for its exp/log tables, "
             f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
         )
 
 
-def powers(field: Field, g: int, count: int) -> np.ndarray:
-    """The int64 codes of g**0, ..., g**(count-1), by doubling.
+def _chain(g: int, count: int, p: int) -> np.ndarray:
+    """g**0, ..., g**(count-1) mod p as int64, by Python multiplications."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * g % p)
+    return np.array(out, dtype=np.int64)
 
-    For a = 1 each step multiplies and reduces in place in `out`, with no
-    temporary; for a > 1 it goes through `Field.mul_array` TABLE_BLOCK codes
-    at a time.
+
+def powers(field: Field, g: int, count: int) -> np.ndarray:
+    """The int64 codes of g**0, ..., g**(count-1).
+
+    For a = 1 one outer product of ceil(count/b) giant powers g**(b*j) and b
+    baby powers g**i, b = ceil(sqrt(count)), reduced mod p in place; its first
+    count entries in row-major order are the list, so beyond them it takes
+    b - 1 spare entries, the two factors and one reduction block.
+    For a > 1 doubling by matrix steps, each written TABLE_BLOCK codes at a
+    time straight into the list.
     """
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    p = field.p
+    if field.a == 1:
+        b = isqrt(count - 1) + 1
+        table = np.multiply.outer(_chain(pow(g, b, p), (count - 1) // b + 1, p), _chain(g, b, p))
+        return _reduce(table.reshape(-1), p)[:count]
     out = np.empty(count, dtype=np.int64)
-    out[:1] = 1
-    n, step = 1, g  # invariant: out[:n] is filled and step = g**n
+    out[0] = 1
+    n, step = 1, field.matrix(g)  # invariant: out[:n] is filled and step is the matrix of g**n
     while n < count:
         m = min(n, count - n)
-        if field.a == 1:
-            dst = out[n : n + m]
-            np.multiply(out[:m], step, out=dst)
-            np.remainder(dst, field.p, out=dst)
-            step = step * step % field.p
-        else:
-            for i in range(0, m, TABLE_BLOCK):
-                j = min(m, i + TABLE_BLOCK)
-                out[n + i : n + j] = field.mul_array(out[i:j], step)
-            step = field.mul(step, step)
+        field.apply_matrix(step, out[:m], out[n : n + m])
+        step = step @ step % p
         n += m
     return out
 
@@ -296,7 +370,7 @@ def find_primitive_element(field: Field) -> PrimitiveData:
     Refuses (FieldTooLarge) a field whose discrete-log tables could not be
     built, although they are only built when read.
     """
-    _check_table_footprint(field)
+    check_table_footprint(field.p, field.a)
     if field.q == 2:
         return PrimitiveData(1, field)
     factors = list(factorize(field.q - 1))

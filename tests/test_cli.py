@@ -303,7 +303,7 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def _run_cli_limited(*argv):
+def _run_cli_limited(*argv, timeout=120):
     """The CLI in a subprocess limited to 2 GB of address space."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(regclique.__file__).parents[1]), env.get("PYTHONPATH")]))
@@ -312,7 +312,7 @@ def _run_cli_limited(*argv):
         env=env,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         preexec_fn=_limit_address_space,
     )
 
@@ -377,6 +377,35 @@ def test_cyclotab_refuses_field_beyond_int64_products():
     proc = _run_cli_limited("cyclotab", "--q", str(p), "--n", "1")
     assert proc.returncode == 2, proc.stderr
     assert f"GF({p}) is too large for int64 table arithmetic" in proc.stderr
+    assert proc.stdout == ""
+
+
+# Extension fields whose modulus search (trial division by every monic
+# polynomial up to degree a/2) would not end: each command must answer from
+# p and a alone, within seconds.
+
+
+def test_build_prints_size_of_a_huge_extension_field_without_a_modulus():
+    q = 13**24
+    proc = _run_cli_limited("build", "--m", "2", "--p", "13", "--a", "24", timeout=20)
+    n, k = 4 * q, 4 + q - 2
+    assert (proc.returncode, proc.stdout) == (0, f"N={n} k={k} M={n * k // 2}\n"), proc.stderr
+
+
+def test_certify_refuses_a_huge_extension_field_before_its_modulus(tmp_path):
+    q = 7**30
+    out = tmp_path / "c.json"
+    proc = _run_cli_limited("certify", "--m", "2", "--p", "7", "--a", "30", "--out", str(out), timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert f"N = {4 * q} vertices need about" in proc.stderr
+    assert not out.exists()
+
+
+def test_cyclotab_refuses_a_huge_extension_field_before_its_modulus():
+    q = 2**40
+    proc = _run_cli_limited("cyclotab", "--p", "2", "--a", "40", "--n", "1", timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert f"GF({q}) needs about {16 * q / 1e9:.1f} GB for its exp/log tables" in proc.stderr
     assert proc.stdout == ""
 
 

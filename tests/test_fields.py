@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -217,12 +219,44 @@ def test_mul_add_array_at_the_largest_prime_codes():
         assert f.mul_add_array(codes, p - 1, p - 1).tolist() == [p - 1, p - 2, 0]
 
 
+@pytest.mark.parametrize("table_block", [fields.TABLE_BLOCK, 5])
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (7, 1), (10007, 1), (5, 2), (3, 3)])
-def test_powers_match_scalar_pow(p, a):
+def test_powers_match_scalar_pow(monkeypatch, p, a, table_block):
+    # b * b - 1, b * b and b * b + 1 entries end the baby-step/giant-step
+    # table one short of, on and one past a full square
+    monkeypatch.setattr(fields, "TABLE_BLOCK", table_block)
     f = build_field(p, a)
+    b = isqrt(f.q - 1)
     for g in sorted({0, 1, find_primitive_element(f).rho, f.q - 1}):
-        for count in (0, 1, 2, 3, f.q - 1):
+        for count in sorted({0, 1, 2, 3, b * b - 1, b * b, b * b + 1, f.q - 1}):
             assert fields.powers(f, g, count).tolist() == [f.pow(g, j) for j in range(count)]
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (3, 2), (5, 2), (3, 3), (2, 4)])
+def test_matrix_of_y_times_digits_of_x_is_their_product(p, a):
+    f = build_field(p, a)
+    place = p ** np.arange(a, dtype=np.int64)
+    digits = np.arange(f.q, dtype=np.int64) // place[:, None] % p  # column x: the digits of x
+    for y in range(f.q):
+        product = place @ (f.matrix(y) @ digits % p)
+        assert product.tolist() == [f.mul(x, y) for x in range(f.q)]
+
+
+@pytest.mark.parametrize("p,a", [(1000003, 1), (101, 3)])
+def test_powers_makes_no_table_sized_temporary(p, a):
+    # the list itself takes 8 * (q - 1) bytes; the outer product's b - 1
+    # spare entries, the blocked reduction and the a-row digit blocks of the
+    # matrix steps must stay within the slack
+    f = build_field(p, a)
+    rho = find_primitive_element(f).rho
+    b = isqrt(f.q - 2) + 1
+    tracemalloc.start()
+    try:
+        fields.powers(f, rho, f.q - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (f.q - 1) + 8 * (b + 4 * a * fields.TABLE_BLOCK) + 64 * 1024
 
 
 @pytest.mark.parametrize("p,a", [(7, 1), (5, 2), (3, 3)])
