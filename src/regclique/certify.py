@@ -10,9 +10,8 @@ byte-reproducible.
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +37,13 @@ from .graphcore import Graph
 BLOCK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
-class ErgParams:
+class ErgParams(NamedTuple):
     n: int
     k: int
     lam: int
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     n: int
     k: int
     lam: int
@@ -55,8 +52,7 @@ class SrgParams:
     theta2: float
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """A failed check with enough context to re-verify the counterexample."""
 
     detail: str
@@ -216,8 +212,7 @@ def check_edge_regular(g: Graph, sources=None):
     return ErgParams(n=g.n, k=k, lam=lam)
 
 
-@dataclass(frozen=True)
-class SrgScan:
+class SrgScan(NamedTuple):
     verdict: str  # "SRG" | "NotSRG" | "Complete"
     params: SrgParams | None
     mu_values: tuple
@@ -259,8 +254,7 @@ def check_strongly_regular(g: Graph, erg: ErgParams | None = None, sources=None)
 # cliques and spreads
 
 
-@dataclass(frozen=True)
-class CliqueReport:
+class CliqueReport(NamedTuple):
     clique: tuple
     order: int
     nexus: int | None  # None when outside counts are not constant
@@ -353,14 +347,15 @@ def predicted_mu_witness(gp: GroupParams, pi, ctx: CyclotomicContext, gv: int) -
 # quotient matrices and the forced strongly regular parameters
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(NamedTuple):
     cells: tuple
     entries: tuple  # rows of Fractions: average neighbour counts cell i -> cell j
     equitable: bool
 
 
 def quotient_matrix(g: Graph, partition) -> QuotientMatrix:
+    from fractions import Fraction  # only here, so importing the package does not load fractions and decimal
+
     cells = tuple(tuple(sorted(cell)) for cell in partition)
     if not cells or any(not cell for cell in cells):
         raise NotAPartition("cells must be non-empty")
@@ -415,8 +410,7 @@ def srg_clique_parameters(s: int, t: int) -> SrgParams:
 # certificate assembly
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     m: int
     l: int
     p: int

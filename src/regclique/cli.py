@@ -2,8 +2,9 @@
 and graph export.
 
 Exit codes: 0 on success (including a passing certificate), 1 for a failing
-certificate, 2 for usage or parameter errors. All output is deterministic:
-identical flags produce byte-identical results.
+certificate, 2 for usage or parameter errors (an unwritable --out among
+them). All output is deterministic: identical flags produce byte-identical
+results.
 """
 
 import argparse
@@ -28,6 +29,8 @@ from .fields import build_field, check_table_footprint, field_order, find_primit
 from .graphcore import Graph
 from .numtheory import prime_power_decompose, search_m2, search_m3
 
+# the graph commands refuse N = 2^m * l * q, and cyclotab q, of more bits
+MAX_ORDER_BITS = 128
 
 # ---------------------------------------------------------------------------
 # graph file formats
@@ -104,14 +107,32 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_order(parser, args):
+def _check_order_bits(parser, m, l, p, a):
+    """Refuse N = 2^m * l * p^a of more than MAX_ORDER_BITS bits (m = 0 and l = 1 bound p^a alone).
+
+    N >= 2**(m + bits(l) - 1 + a * (bits(p) - 1)), so that bound comes first;
+    once it holds, 1 << m and p**a have at most about 2 * MAX_ORDER_BITS bits.
+    """
+    if a >= 1 and (
+        m + l.bit_length() + a * (p.bit_length() - 1) > MAX_ORDER_BITS
+        or ((l << m) * p**a).bit_length() > MAX_ORDER_BITS
+    ):
+        parser.error(f"{'N = 2^m * l * q' if m else 'q'} has more than {MAX_ORDER_BITS} bits")
+
+
+def _resolve_order(parser, args, m=0, l=1):
     """(p, a) of the field a command names, validated without searching a modulus.
 
+    N = 2^m * l * q is bounded before q is decomposed or p**a computed.
     Callers run their size checks on p**a before `build_field`, whose modulus
     search would take exponential time on a field too large to use.
     """
     if args.q is not None:
-        pp = prime_power_decompose(args.q)
+        _check_order_bits(parser, m, l, args.q, 1)
+        try:
+            pp = prime_power_decompose(args.q)
+        except RegcliqueError as exc:  # a root beyond the exact range of is_prime
+            parser.error(str(exc))
         if pp is None:
             parser.error(f"q = {args.q} is not a prime power")
         p, a = pp
@@ -119,6 +140,7 @@ def _resolve_order(parser, args):
             parser.error(f"--p/--a inconsistent with --q {args.q} = {p}^{a}")
     elif args.p is not None:
         p, a = args.p, args.a
+        _check_order_bits(parser, m, l, p, a)
     else:
         parser.error("a field is required: give --q or --p (with --a)")
     try:
@@ -152,7 +174,7 @@ def _resolve_construction(parser, args):
         parser.error("m must be at least 2")
     if args.l < 1:
         parser.error("l must be at least 1")
-    p, a = _resolve_order(parser, args)
+    p, a = _resolve_order(parser, args, args.m, args.l)
     q, two_n = p**a, 2 * ((1 << args.m) - 1)
     if q % two_n != 1:
         parser.error(f"q = {q} is not 1 mod {two_n}: the connection set would not be symmetric")
@@ -182,6 +204,15 @@ def _build_graph(parser, args):
     return gp, pi, variant, graph
 
 
+def _write(parser, path, write) -> None:
+    """write(fh) to path opened for text; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror or exc}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -208,9 +239,7 @@ def _cmd_build(parser, args) -> int:
 def _cmd_certify(parser, args) -> int:
     gp, pi, variant, graph = _build_graph(parser, args)
     cert = assemble_certificate(gp, pi, variant, graph)
-    with open(args.out, "w") as fh:
-        fh.write(cert.to_json())
-        fh.write("\n")
+    _write(parser, args.out, lambda fh: fh.write(cert.to_json() + "\n"))
     if cert.passed:
         print("PASS")
         return 0
@@ -220,11 +249,8 @@ def _cmd_certify(parser, args) -> int:
 
 def _cmd_export(parser, args) -> int:
     _, _, _, graph = _build_graph(parser, args)
-    with open(args.out, "w") as fh:
-        if args.format == "dimacs":
-            write_dimacs(graph, fh)
-        else:
-            write_edge_list(graph, fh)
+    writer = write_dimacs if args.format == "dimacs" else write_edge_list
+    _write(parser, args.out, lambda fh: writer(graph, fh))
     return 0
 
 

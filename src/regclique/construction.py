@@ -10,7 +10,6 @@ The vertex encoding fixed here is part of the certificate contract:
 with fidx(0) = 0 and fidx(rho**j) = j + 1.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +25,7 @@ class GroupElement(NamedTuple):
     f: int  # field element code
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(NamedTuple):
     """Parameters (l, m, field) fixing the group Z_l + Z_2^m + F_q."""
 
     l: int
@@ -122,8 +120,7 @@ def validate_bijection(m: int, pi) -> tuple:
 # connection set and graph
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(NamedTuple):
     """The connection set: s0 plus one slice per nonzero bit-vector."""
 
     s0: tuple

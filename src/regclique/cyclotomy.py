@@ -14,16 +14,12 @@ labels every element from all n classes and counts the n**2 numbers in one
 pass.
 """
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadCongruence, IndexOutOfRange, WrongN
 from .fields import Field, PrimitiveData, dlog, powers
 
 
-@dataclass(frozen=True)
 class CyclotomicContext:
     """A field with primitive data and a class count n dividing q-1.
 
@@ -32,11 +28,9 @@ class CyclotomicContext:
     need it check this explicitly.
     """
 
-    field: Field
-    pd: PrimitiveData
-    n: int
-    r: int | None
-    _cache: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, field: Field, pd: PrimitiveData, n: int, r: int | None):
+        self.field, self.pd, self.n, self.r = field, pd, n, r
+        self._cache = {}
 
     def coset(self, i: int) -> np.ndarray:
         """Class i as int64 codes, rho**i * <rho**n> in exponent order; made on first use."""

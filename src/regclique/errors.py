@@ -9,6 +9,10 @@ class NotPrime(RegcliqueError):
     pass
 
 
+class PrimalityOutOfRange(RegcliqueError):
+    """Raised for an integer beyond the range in which primality is decided exactly."""
+
+
 class ExponentZero(RegcliqueError):
     pass
 

@@ -24,21 +24,44 @@ every cyclotomic number on class 0, the `powers` of rho**n) never pay for
 them.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
-from .errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, ZeroHasNoLog
+from .errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, PrimalityOutOfRange, ZeroHasNoLog
 from .graphcore import memory_limit
 
 TABLE_BLOCK = 1 << 12  # most codes one vectorised multiplication takes, bounding its temporaries
 
+# is_prime trial-divides below TRIAL_DIVISION_LIMIT (at most 256 odd divisors,
+# about the cost of the Miller-Rabin rounds). Above it, Miller-Rabin with the
+# first 13 primes as bases is exact below MILLER_RABIN_LIMIT, the smallest
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
+TRIAL_DIVISION_LIMIT = 1 << 18
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check by trial division (scope: n < 10**12)."""
-    return factorize(n) == {n: 1}
+    """Deterministic primality check; refuses (PrimalityOutOfRange) n >= MILLER_RABIN_LIMIT."""
+    if n < TRIAL_DIVISION_LIMIT:
+        return factorize(n) == {n: 1}
+    if n >= MILLER_RABIN_LIMIT:
+        raise PrimalityOutOfRange(f"a {n.bit_length()}-bit number: primality is decided only below {MILLER_RABIN_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _reduce(t: np.ndarray, p: int) -> np.ndarray:
@@ -124,14 +147,11 @@ def _find_modulus(p, a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Field:
     """GF(p^a) with a fixed reduction modulus (None for the prime-field case)."""
 
-    p: int
-    a: int
-    q: int
-    modulus: tuple | None
+    def __init__(self, p: int, a: int, q: int, modulus: tuple | None):
+        self.p, self.a, self.q, self.modulus = p, a, q, modulus
 
     def coeffs(self, x: int) -> tuple:
         out = []
@@ -340,7 +360,6 @@ def powers(field: Field, g: int, count: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class PrimitiveData:
     """A primitive element rho of field, with discrete-log tables built on first read.
 
@@ -348,8 +367,8 @@ class PrimitiveData:
     code x, with log[0] = -1 as a sentinel (zero has no logarithm).
     """
 
-    rho: int
-    field: Field
+    def __init__(self, rho: int, field: Field):
+        self.rho, self.field = rho, field
 
     @cached_property
     def exp(self) -> np.ndarray:

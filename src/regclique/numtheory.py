@@ -1,11 +1,12 @@
 """Number-theoretic predicates and the parameter searches for both graph families.
 
-All primality and order computations are deterministic (trial division and
-factored-order reduction), so search output is reproducible bit for bit.
+All primality and order computations are deterministic (trial division,
+Miller-Rabin on fixed bases, factored-order reduction), so search output is
+reproducible bit for bit.
 """
 
-from dataclasses import dataclass
 from math import gcd, isqrt, log
+from typing import NamedTuple
 
 from .cyclotomy import make_context, cyclotomic_number
 from .errors import NotCoprime, SearchTooLarge
@@ -39,10 +40,30 @@ def primes_up_to(n: int) -> list:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def _integer_root(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1, by Newton's method on integers from above."""
+    x = 1 << -(-q.bit_length() // k)  # q < 2**bit_length, so x is at least the root
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_decompose(q: int):
-    """(p, a) with q = p**a and p prime, or None when q is not a prime power."""
-    factors = factorize(q)
-    return next(iter(factors.items())) if len(factors) == 1 else None
+    """(p, a) with q = p**a and p prime, or None when q is not a prime power.
+
+    q is not factored: for a = log2(q) down to 1, only an integer a-th root
+    whose a-th power is q goes to is_prime, which refuses roots beyond its
+    exact range.
+    """
+    if q < 2:
+        return None
+    for a in range(q.bit_length() - 1, 0, -1):
+        p = _integer_root(q, a)
+        if p**a == q and is_prime(p):
+            return p, a
+    return None
 
 
 # Bytes per prime up to the limit: a Python int and its list slot in the
@@ -107,8 +128,7 @@ def order_profile(p: int) -> tuple:
     return (n, e)
 
 
-@dataclass(frozen=True)
-class SearchRecordM2:
+class SearchRecordM2(NamedTuple):
     """An m = 2 family member: q with odd c = c(1, 2) and its graph parameters."""
 
     p: int
@@ -130,8 +150,7 @@ class SearchRecordM2:
         )
 
 
-@dataclass(frozen=True)
-class SearchRecordM3:
+class SearchRecordM3(NamedTuple):
     """An m = 3 candidate: q = 1 mod 14 whose variant has c = 1 mod 4."""
 
     p: int

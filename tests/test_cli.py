@@ -205,6 +205,25 @@ def test_export_rejects_unknown_format(capsys, tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_certify_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, where):
+    out_path = tmp_path / "missing" / "cert.json" if where == "missing directory" else tmp_path
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--m", "2", "--q", "7", "--out", str(out_path)])
+    out = capsys.readouterr()
+    assert info.value.code == 2
+    assert out.out == ""  # no PASS or FAIL line
+    assert out.err.splitlines()[-1].startswith(f"regclique: error: cannot write {out_path}: ")
+
+
+def test_export_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "graph.txt"
+    with pytest.raises(SystemExit) as info:
+        main(["export", "--m", "2", "--q", "7", "--out", str(out_path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"regclique: error: cannot write {out_path}: No such file or directory"
+
+
 # sha256 of each output file; any byte change fails. The exports were recorded
 # from the integer-bitset implementation before the graph moved to packed uint64
 # bits and CSR arrays. The certificates were re-recorded when the vertex_transitive
@@ -406,6 +425,35 @@ def test_cyclotab_refuses_a_huge_extension_field_before_its_modulus():
     proc = _run_cli_limited("cyclotab", "--p", "2", "--a", "40", "--n", "1", timeout=20)
     assert proc.returncode == 2, proc.stderr
     assert f"GF({q}) needs about {16 * q / 1e9:.1f} GB for its exp/log tables" in proc.stderr
+    assert proc.stdout == ""
+
+
+# Orders that trial division, p**a or 1 << m would never finish with: each
+# command must answer from the bit lengths of its parameters, within seconds.
+
+
+def test_build_prints_size_of_a_field_of_sixty_bits():
+    q = 1_000_000_000_000_000_003  # a prime = 1 mod 6; trial division would take 10**9 steps
+    proc = _run_cli_limited("build", "--m", "2", "--q", str(q), timeout=20)
+    n, k = 4 * q, 4 + q - 2
+    assert (proc.returncode, proc.stdout) == (0, f"N={n} k={k} M={n * k // 2}\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cyclotab", "--p", "1000000000000000003", "--n", "1"), "is too large for int64 table arithmetic"),
+        (("build", "--m", "2", "--p", "7", "--a", "100000000"), "N = 2^m * l * q has more than 128 bits"),
+        (("build", "--m", "2", "--p", "7", "--a", "6000"), "N = 2^m * l * q has more than 128 bits"),
+        (("build", "--m", str(10**9), "--q", "7"), "N = 2^m * l * q has more than 128 bits"),
+        (("cyclotab", "--q", str(2**128 + 51), "--n", "1"), "q has more than 128 bits"),
+        (("build", "--m", "2", "--q", str(2**89 - 1)), "primality is decided only below"),  # a Mersenne prime
+    ],
+)
+def test_huge_orders_are_refused_from_their_bit_lengths(argv, message):
+    proc = _run_cli_limited(*argv, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("regclique: error: ") and message in proc.stderr
     assert proc.stdout == ""
 
 

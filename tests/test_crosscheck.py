@@ -1,7 +1,8 @@
 """Cross-checks against independent implementations in installed libraries.
 
 Each test is skipped when its library is missing: networkx decides strong
-regularity, sympy decides irreducibility and primitive roots.
+regularity, sympy decides irreducibility, primitive roots, primality and
+factorizations.
 """
 
 import os
@@ -13,9 +14,17 @@ from pathlib import Path
 import pytest
 
 from regclique.certify import Failure, check_edge_regular, check_strongly_regular
-from regclique.fields import _find_modulus, build_field, find_primitive_element
+from regclique.errors import PrimalityOutOfRange
+from regclique.fields import (
+    MILLER_RABIN_LIMIT,
+    TRIAL_DIVISION_LIMIT,
+    _find_modulus,
+    build_field,
+    find_primitive_element,
+    is_prime,
+)
 from regclique.graphcore import Graph
-from regclique.numtheory import prime_powers, primes_up_to
+from regclique.numtheory import prime_power_decompose, prime_powers, primes_up_to
 
 from reference import circulant_edges, cycle_edges, edge_list
 
@@ -65,6 +74,37 @@ def test_prime_field_rho_is_a_primitive_root_by_sympy():
     for p in primes_up_to(2000):
         rho = find_primitive_element(build_field(p, 1)).rho
         assert ntheory.is_primitive_root(rho, p), (p, rho)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(16)
+    samples = [rng.randrange(1, 10 ** rng.randrange(1, 25)) for _ in range(2000)]
+    samples += [sympy.randprime(10 ** (e - 1), 10**e) for e in range(2, 25)]  # random n are seldom prime
+    samples += range(TRIAL_DIVISION_LIMIT - 300, TRIAL_DIVISION_LIMIT + 300)  # both sides of the method switch
+    samples += [3215031751, 3825123056546413051]  # strong pseudoprimes to bases 2, 3, 5, 7 and to the first 9 primes
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_numbers_beyond_its_exact_range():
+    sympy = pytest.importorskip("sympy")
+    assert not sympy.isprime(MILLER_RABIN_LIMIT)  # a strong pseudoprime to all 13 bases
+    assert is_prime(MILLER_RABIN_LIMIT - 2) == sympy.isprime(MILLER_RABIN_LIMIT - 2)
+    with pytest.raises(PrimalityOutOfRange):
+        is_prime(MILLER_RABIN_LIMIT)
+
+
+def test_prime_power_decompose_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(16)
+    prime_powers_ = [p**a for p in (2, 3, 7, 13, 1009, 1_000_003, 1_000_000_007) for a in (1, 2, 3, 5) if p**a < 10**24]
+    prime_powers_ += [2**79, 3**50]
+    near = [10**18 + d for d in range(-200, 200)] + [rng.randrange(10**17, 10**19) for _ in range(200)]
+    for q in prime_powers_ + near:
+        factors = sympy.factorint(q)
+        expected = next(iter(factors.items())) if len(factors) == 1 else None
+        assert prime_power_decompose(q) == expected, q
 
 
 @pytest.mark.parametrize("argv", [("--m", "3", "--q", "29", "--variant", "psi1"), ("--m", "2", "--q", "49", "--l", "4")])
