@@ -29,8 +29,10 @@ from .fields import build_field, check_table_footprint, field_order, find_primit
 from .graphcore import Graph
 from .numtheory import prime_power_decompose, search_m2, search_m3
 
-# the graph commands refuse N = 2^m * l * q, and cyclotab q, of more bits
-MAX_ORDER_BITS = 128
+# The graph commands refuse N = 2^m * l * q, and cyclotab q, of more bits.
+# `build` prints M = N * k / 2 < N**2, which then has at most 4,299 decimal
+# digits: within Python's default limit on int-to-str conversion (4,300)
+MAX_ORDER_BITS = 7140
 
 # ---------------------------------------------------------------------------
 # graph file formats

@@ -34,21 +34,24 @@ from .graphcore import memory_limit
 
 TABLE_BLOCK = 1 << 12  # most codes one vectorised multiplication takes, bounding its temporaries
 
-# is_prime trial-divides below TRIAL_DIVISION_LIMIT (at most 256 odd divisors,
-# about the cost of the Miller-Rabin rounds). Above it, Miller-Rabin with the
-# first 13 primes as bases is exact below MILLER_RABIN_LIMIT, the smallest
-# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
-TRIAL_DIVISION_LIMIT = 1 << 18
+# Miller-Rabin with the first 13 primes as bases is exact below
+# MILLER_RABIN_LIMIT, the smallest strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017)
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check; refuses (PrimalityOutOfRange) n >= MILLER_RABIN_LIMIT."""
-    if n < TRIAL_DIVISION_LIMIT:
-        return factorize(n) == {n: 1}
-    if n >= MILLER_RABIN_LIMIT:
-        raise PrimalityOutOfRange(f"a {n.bit_length()}-bit number: primality is decided only below {MILLER_RABIN_LIMIT}")
+    """Deterministic primality check.
+
+    A base that proves n composite is exact at any size; an n >= MILLER_RABIN_LIMIT
+    that no base proves composite is refused (PrimalityOutOfRange).
+    """
+    if n < 2:
+        return False
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     d = (n - 1) >> s
     for b in MILLER_RABIN_BASES:
@@ -61,6 +64,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MILLER_RABIN_LIMIT:
+        raise PrimalityOutOfRange(f"a {n.bit_length()}-bit number: primality is decided only below {MILLER_RABIN_LIMIT}")
     return True
 
 

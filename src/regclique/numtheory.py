@@ -5,7 +5,7 @@ Miller-Rabin on fixed bases, factored-order reduction), so search output is
 reproducible bit for bit.
 """
 
-from math import gcd, isqrt, log
+from math import gcd, isqrt, log, log2
 from typing import NamedTuple
 
 from .cyclotomy import make_context, cyclotomic_number
@@ -41,8 +41,15 @@ def primes_up_to(n: int) -> list:
 
 
 def _integer_root(q: int, k: int) -> int:
-    """floor(q ** (1/k)) for q >= 1, by Newton's method on integers from above."""
+    """floor(q ** (1/k)) for q >= 1, by Newton's method on integers from above.
+
+    Newton's steps shrink x by only about 1/k while x is far above the root, so
+    a root that fits a float starts from a float estimate, raised by a factor
+    2**1e-9 that is far beyond its rounding error.
+    """
     x = 1 << -(-q.bit_length() // k)  # q < 2**bit_length, so x is at least the root
+    if x.bit_length() < 1000:
+        x = min(x, int(2 ** (log2(q) / k + 1e-9)) + 1)
     while True:
         y = ((k - 1) * x + q // x ** (k - 1)) // k
         if y >= x:

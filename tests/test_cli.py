@@ -432,9 +432,18 @@ def test_cyclotab_refuses_a_huge_extension_field_before_its_modulus():
 # command must answer from the bit lengths of its parameters, within seconds.
 
 
-def test_build_prints_size_of_a_field_of_sixty_bits():
-    q = 1_000_000_000_000_000_003  # a prime = 1 mod 6; trial division would take 10**9 steps
-    proc = _run_cli_limited("build", "--m", "2", "--q", str(q), timeout=20)
+@pytest.mark.parametrize(
+    "field",
+    [
+        ("--q", "1000000000000000003"),  # a prime = 1 mod 6; trial division would take 10**9 steps
+        ("--p", "7", "--a", "60"),
+        ("--p", "7", "--a", "2542"),  # N of 7139 bits, whose M has 4,297 decimal digits
+        ("--q", str(7**2542)),
+    ],
+)
+def test_build_prints_size_of_a_large_field(field):
+    proc = _run_cli_limited("build", "--m", "2", *field, timeout=20)
+    q = int(field[1]) ** int(field[3]) if field[0] == "--p" else int(field[1])
     n, k = 4 * q, 4 + q - 2
     assert (proc.returncode, proc.stdout) == (0, f"N={n} k={k} M={n * k // 2}\n"), proc.stderr
 
@@ -443,11 +452,13 @@ def test_build_prints_size_of_a_field_of_sixty_bits():
     "argv, message",
     [
         (("cyclotab", "--p", "1000000000000000003", "--n", "1"), "is too large for int64 table arithmetic"),
-        (("build", "--m", "2", "--p", "7", "--a", "100000000"), "N = 2^m * l * q has more than 128 bits"),
-        (("build", "--m", "2", "--p", "7", "--a", "6000"), "N = 2^m * l * q has more than 128 bits"),
-        (("build", "--m", str(10**9), "--q", "7"), "N = 2^m * l * q has more than 128 bits"),
-        (("cyclotab", "--q", str(2**128 + 51), "--n", "1"), "q has more than 128 bits"),
+        (("build", "--m", "2", "--p", "7", "--a", "100000000"), "N = 2^m * l * q has more than 7140 bits"),
+        (("build", "--m", "2", "--p", "7", "--a", "2543"), "N = 2^m * l * q has more than 7140 bits"),  # N of 7142 bits
+        (("build", "--m", str(10**9), "--q", "7"), "N = 2^m * l * q has more than 7140 bits"),
+        (("cyclotab", "--q", str(2**7140), "--n", "1"), "q has more than 7140 bits"),
         (("build", "--m", "2", "--q", str(2**89 - 1)), "primality is decided only below"),  # a Mersenne prime
+        (("build", "--m", "2", "--q", str(6 * 2**88)), f"q = {6 * 2**88} is not a prime power"),
+        (("build", "--m", "2", "--p", str(2**100)), f"{2**100} is not prime"),
     ],
 )
 def test_huge_orders_are_refused_from_their_bit_lengths(argv, message):

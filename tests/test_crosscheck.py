@@ -17,7 +17,6 @@ from regclique.certify import Failure, check_edge_regular, check_strongly_regula
 from regclique.errors import PrimalityOutOfRange
 from regclique.fields import (
     MILLER_RABIN_LIMIT,
-    TRIAL_DIVISION_LIMIT,
     _find_modulus,
     build_field,
     find_primitive_element,
@@ -81,18 +80,21 @@ def test_is_prime_agrees_with_sympy():
     rng = random.Random(16)
     samples = [rng.randrange(1, 10 ** rng.randrange(1, 25)) for _ in range(2000)]
     samples += [sympy.randprime(10 ** (e - 1), 10**e) for e in range(2, 25)]  # random n are seldom prime
-    samples += range(TRIAL_DIVISION_LIMIT - 300, TRIAL_DIVISION_LIMIT + 300)  # both sides of the method switch
+    samples += range(-1, 2000)  # the bases themselves, their multiples and n < 41**2
     samples += [3215031751, 3825123056546413051]  # strong pseudoprimes to bases 2, 3, 5, 7 and to the first 9 primes
     for n in samples:
         assert is_prime(n) == sympy.isprime(n), n
 
 
-def test_is_prime_refuses_numbers_beyond_its_exact_range():
+def test_is_prime_beyond_its_exact_range_decides_only_composites():
     sympy = pytest.importorskip("sympy")
     assert not sympy.isprime(MILLER_RABIN_LIMIT)  # a strong pseudoprime to all 13 bases
     assert is_prime(MILLER_RABIN_LIMIT - 2) == sympy.isprime(MILLER_RABIN_LIMIT - 2)
     with pytest.raises(PrimalityOutOfRange):
         is_prime(MILLER_RABIN_LIMIT)
+    # a base that proves n composite is exact at any size
+    for n in (2**100, 6 * 2**88, sympy.nextprime(10**15) * sympy.nextprime(10**16), MILLER_RABIN_LIMIT + 2):
+        assert not sympy.isprime(n) and not is_prime(n), n
 
 
 def test_prime_power_decompose_agrees_with_sympy():
