@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construction import GroupElement, GroupParams, encode_vertex, field_shift, group_generators, validate_bijection
+from .construction import GroupElement, GroupParams, encode_vertex, group_generators, validate_bijection
 from .cyclotomy import CyclotomicContext, cyclotomic_number, make_context
 from .errors import (
     BadCongruence,
@@ -29,11 +29,13 @@ from .errors import (
 )
 from .graphcore import Graph
 
-# bound on the bytes of the int32 arrays check_translations holds at once for
-# a chunk of block-0 rows: one gathered image for a block element, four arrays
-# (field indices, block bases, image, target) for a field generator. A Cayley
-# graph of the construction has k >= q, so even a chunk of all q rows of block
-# 0 holds no more entries than the k^2 that the mu scan from vertex 0 gathers
+# bound on the bytes of one int32 array of a chunk of block-0 rows in
+# check_translations, which holds two such at once besides a bool compare:
+# the field codes `Field.add_array` sums and the expected rows gathered from
+# them, then the expected rows and their image under a block element. A
+# Cayley graph of the construction has k >= q, so even a chunk of all q rows
+# of block 0 holds no more entries than the k^2 that the mu scan from vertex 0
+# gathers
 BLOCK_BYTES = 1 << 18
 
 
@@ -69,32 +71,23 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
 
     The translations act transitively on the vertices, so passing proves g
     vertex-transitive: every lambda and mu value then occurs at a pair (0, v).
-    A translation tau is an automorphism of a regular graph iff it maps each
-    neighbour row onto the row of its image, sort(tau(row(u))) == row(tau(u)).
-    Vertex b * q + i is tau_b(i), the field vertex i of block 0 moved by the
-    block element b = z * 2^m + v, that is (z, v, 0). So two checks over the
-    q rows of block 0 read each row of g once:
+    Every translation is an automorphism of a regular graph with ascending
+    rows iff g is the Cayley graph of the group on the neighbours of 0, that
+    is iff row(u) == sort(u + row(0)) for every vertex u, which is what this
+    checks. Vertex u = b * q + i is (0, 0, f_i), f_i the field element of
+    index i, moved by the block element b = z * 2^m + v, that is (z, v, 0);
+    so u + row(0) is tau_b(f_i + row(0)). For each chunk of field indices i:
 
-    (a) tau_h for every nonzero block element h, with tau_h(c * q + j) = (c + h) * q + j;
-    (b) tau_e for each field generator e = (0, 0, p^j), j < a, through `field_shift`.
+    - the expected rows of block 0 are row 0's field codes plus f_i, gathered
+      back to field indices within row 0's column blocks, then sorted;
+    - each of them holds the column blocks of row 0 in ascending order. tau_b
+      keeps each entry's field index and moves its block, so one column order
+      sorts the images of all of them: the columns stably ordered by target
+      block. The images are compared with the rows of block b, b = 0 first.
 
-    (a) at c + h and at c gives row(tau_h u) = tau_h row(u) for u = tau_c(i),
-    that is for every vertex. (b) carries over to every u = tau_c(i) because
-    tau_e commutes with tau_c, and the block elements with the field
-    generators generate the group. A failure's witness (e, u) is the smallest
-    block-0 vertex u at which a check fails, with e the first failing element
-    in the order: block elements by ascending b, then the field generators
-    p^0, ..., p^(a-1).
-
-    (a) needs no sort. tau_h keeps each entry's field index and moves its
-    block, so a strictly ascending row with the column blocks of row 0 sorts
-    its image by one column order, the same for every such row: the columns
-    stably ordered by the target blocks of row 0's column blocks. Each block
-    element is checked on a chunk of rows by one gather in that order, one add
-    of the block offsets and one compare; a row that is not strictly
-    ascending, has other column blocks than row 0 or misses its target is
-    checked again by sorting its image. (b) sorts every image. Rows are read
-    in chunks of BLOCK_BYTES.
+    A failure's witness is (e, 0), with e the element that moves 0 to the
+    smallest vertex u whose row differs. Rows are read in chunks of
+    BLOCK_BYTES.
     """
     if g.n != gp.n_vertices:
         detail = f"the graph has {g.n} vertices, the group {gp.n_vertices}"
@@ -104,75 +97,36 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
         return _irregularity(g)
     q, vectors = gp.q, 1 << gp.m
     adj = g.row_table
-    n_blocks = gp.l * vectors
-    blocks = np.arange(n_blocks, dtype=np.int32)
-    bz, bv = np.divmod(blocks, vectors)
-    field_generators = [e for e in group_generators(gp) if e.f]
-
-    def block_offsets(b):  # tau_b moves block c by q * ((c + b) - c); made per block element, not kept for every b
-        return ((bz + bz[b]) % gp.l * vectors + (bv ^ bv[b]) - blocks) * q
-
-    # n numbers the block elements 1 .. n_blocks - 1, then the field generators;
-    # failing maps each failing element n checked to its smallest failing row
-    failing = {}
-    fshift = field_shift(gp)  # tau_e keeps every block and maps field index j to fshift(e.f)[j]
-    field_maps = [fshift(e.f).astype(np.int32) for e in field_generators]
-    cols0 = adj[0] // q  # the column blocks of row 0
-    bases0 = cols0 * q
-    # the block-0 rows whose image a gather in row 0's column order may not
-    # sort: rows not strictly ascending or with other column blocks than row 0
-    needs_sort = np.empty(q, dtype=bool)
-    step = max(1, BLOCK_BYTES // (16 * max(k, 1)))  # (b) holds four int32 arrays of a chunk
+    fcodes = np.concatenate(([0], gp.pd.exp)).astype(np.int32)  # the code of each field index
+    fidx_of_code = (gp.pd.log + 1).astype(np.int32)  # log[0] = -1, so fidx(0) = 0
+    cols0, fidx0 = np.divmod(adj[0], q)
+    bases0, codes0 = cols0 * q, fcodes[fidx0]
+    cols = np.sort(cols0)  # the column blocks of every expected row
+    cz, cv = np.divmod(cols, vectors)
+    first = g.n  # the smallest vertex found whose row differs
+    step = max(1, BLOCK_BYTES // (4 * max(k, 1)))
     for r0 in range(0, q, step):
         r1 = min(r0 + step, q)
-        rows = adj[r0:r1]
-        fidx = rows - bases0
-        # an entry outside [0, q) is in another column block than row 0's;
-        # only such rows are decoded with % q
-        other = (fidx.view(np.uint32) >= q).any(axis=1)
-        needs_sort[r0:r1] = other | (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
-        bases = bases0
-        if other.any():
-            fidx[other] = rows[other] % q
-            bases = rows - fidx
-        for n, fmap in enumerate(field_maps, n_blocks):
-            image = np.take(fmap, fidx)  # np.take gathers by int32 indices faster than [] indexing
-            image += bases
-            image.sort(axis=1)
-            bad = np.flatnonzero((image != np.take(adj, fmap[r0:r1], axis=0)).any(axis=1))
-            if bad.size:
-                failing.setdefault(n, r0 + int(bad[0]))
-    step = max(1, BLOCK_BYTES // (4 * max(k, 1)))  # (a) holds one
-    for b in range(1, n_blocks):
-        offsets = block_offsets(b)
-        shift = np.take(offsets, cols0)
-        order = np.argsort(bases0 + shift, kind="stable")  # by target block
-        shift = shift[order]
-        for r0 in range(0, q, step):
-            r1 = min(r0 + step, q)
-            target = adj[b * q + r0 : b * q + r1]
-            image = adj[r0:r1, order]
-            image += shift
-            if np.array_equal(image, target) and not needs_sort[r0:r1].any():
-                continue
-            rows = r0 + np.flatnonzero(needs_sort[r0:r1] | (image != target).any(axis=1))
-            image = adj[rows]
-            image += np.take(offsets, image // q)
-            image.sort(axis=1)
-            bad = rows[(image != adj[b * q + rows]).any(axis=1)]
-            if bad.size:
-                failing[b] = int(bad[0])
+        # [] casts the int32 sums to indices a buffer at a time, np.take all at once
+        expected = fidx_of_code[gp.field.add_array(np.broadcast_to(codes0, (r1 - r0, k)), fcodes[r0:r1, None])]
+        expected += bases0
+        expected.sort(axis=1)
+        for b in range(gp.l * vectors):
+            if b * q + r0 >= first:
                 break
-    if failing:
-        u, n = min((u, n) for n, u in failing.items())
-        e = ([GroupElement(int(z), int(v), 0) for z, v in zip(bz, bv)] + field_generators)[n]
-        # block element n moves u to n * q + u
-        image = n * q + u if n < n_blocks else int(field_maps[n - n_blocks][u])
-        return Failure(
-            detail=f"translation by {tuple(e)} maps the neighbours of {u} off those of {image}",
-            witness=(e, u),
-        )
-    return None
+            target = (cz + b // vectors) % gp.l * vectors + (cv ^ b % vectors)
+            order = np.argsort(target, kind="stable")
+            image = expected[:, order]
+            image += ((target - cols) * q)[order]
+            rows = adj[b * q + r0 : b * q + r1]
+            if not np.array_equal(image, rows):
+                first = b * q + r0 + int(np.flatnonzero((image != rows).any(axis=1))[0])
+            del image  # before the next one is gathered
+    if first == g.n:
+        return None
+    z, v = divmod(first // q, vectors)
+    e = GroupElement(z, v, int(fcodes[first % q]))
+    return Failure(detail=f"translation by {tuple(e)} maps the neighbours of 0 off those of {first}", witness=(e, 0))
 
 
 def _pair_profile(g: Graph, sources, adjacent: bool) -> dict:

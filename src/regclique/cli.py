@@ -26,7 +26,7 @@ from .construction import (
 from .cyclotomy import cyclotomic_table, make_context
 from .errors import BadCongruence, FieldTooLarge, GraphTooLarge, RegcliqueError, SearchTooLarge
 from .fields import build_field, check_table_footprint, field_order, find_primitive_element
-from .graphcore import Graph
+from .graphcore import Graph, memory_limit
 from .numtheory import prime_power_decompose, search_m2, search_m3
 
 # The graph commands refuse N = 2^m * l * q, and cyclotab q, of more bits.
@@ -260,6 +260,12 @@ def _cmd_cyclotab(parser, args) -> int:
     p, a = _resolve_order(parser, args)
     if args.n < 1:
         parser.error("n must be at least 1")
+    need, limit = 8 * args.n**2, memory_limit()  # the int64 n x n table
+    if need > limit:
+        parser.error(
+            f"an n x n table for n = {args.n} needs about {need / 1e9:.1f} GB, "
+            f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
+        )
     try:
         check_table_footprint(p, a)  # before the modulus search
     except FieldTooLarge as exc:

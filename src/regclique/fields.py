@@ -262,14 +262,24 @@ class Field:
             return _reduce(out, self.p)
         return self.add_array(self.mul_array(codes, y), s)
 
-    def add_array(self, codes: np.ndarray, s: int) -> np.ndarray:
-        """Vectorized addition of a single element s to an array of codes."""
+    def add_array(self, codes: np.ndarray, s) -> np.ndarray:
+        """codes + s, for a single element s or an array of elements that broadcasts to codes' shape.
+
+        The sum is reduced in place: a prime field holds one array of that
+        shape, an extension field two.
+        """
         if self.a == 1:
-            return (codes + s) % self.p
+            out = codes + s
+            out %= self.p
+            return out
         out = np.zeros_like(codes)
         pi = 1
         for _ in range(self.a):
-            out += (codes // pi % self.p + s // pi % self.p) % self.p * pi
+            digit = codes // pi
+            digit += s // pi % self.p
+            digit %= self.p
+            digit *= pi
+            out += digit
             pi *= self.p
         return out
 

@@ -1,8 +1,9 @@
 """Number-theoretic predicates and the parameter searches for both graph families.
 
-All primality and order computations are deterministic (trial division,
-Miller-Rabin on fixed bases, factored-order reduction), so search output is
-reproducible bit for bit.
+All primality and order computations are deterministic: a sieve lists the
+primes a search scans, `is_prime` is Miller-Rabin on fixed bases, and orders
+are reduced over the prime factors that `factorize` finds by trial division.
+So search output is reproducible bit for bit.
 """
 
 from math import gcd, isqrt, log, log2

@@ -4,10 +4,11 @@ Everything here is deliberately written as plain loops (over adjacency sets,
 or one scalar field multiplication at a time), with no shared code with the
 package kernels. The exception is `translator`, which decodes every vertex
 into arrays and adds through `Field.add_array`, the group's addition that the
-build and `construction.field_shift` use too; it is checked against
-`group_add` and scalar `Field.add`. `naive_cayley_graph` and
-`naive_translation_failure` translate every vertex through it, not through
-the block-by-block build or the block-0 translation check.
+build, `construction.field_shift` and the translation check use too; it is
+checked against `group_add` and scalar `Field.add`. `naive_cayley_graph`,
+`naive_translation_failure` and `naive_translation_witness` translate every
+vertex through it, not through the block-by-block build or the block-by-block
+translation check.
 """
 
 from collections import Counter
@@ -241,6 +242,21 @@ def naive_translation_failure(gp, graph):
         bad = np.flatnonzero((np.sort(perm[adj], axis=1) != adj[perm]).any(axis=1))
         if bad.size:
             return e, int(bad[0])
+    return None
+
+
+def naive_translation_witness(gp, graph):
+    """(e, u) for the smallest vertex u whose row is not the neighbours of 0 moved by
+    e = decode_vertex(gp, u), sorted, or None when every row is.
+
+    Each vertex is decoded and row 0 translated by it, one vertex at a time.
+    """
+    translate = translator(gp)
+    row0 = list(graph.neighbours(0))
+    for u in range(graph.n):
+        e = decode_vertex(gp, u)
+        if sorted(translate(e)[row0].tolist()) != list(graph.neighbours(u)):
+            return e, u
     return None
 
 

@@ -45,6 +45,7 @@ from reference import (
     complete_bipartite_edges,
     complete_edges,
     cycle_edges,
+    decode_vertex,
     edge_list,
     naive_attachments,
     naive_common_neighbours,
@@ -53,6 +54,7 @@ from reference import (
     naive_missing_edge,
     naive_mu_witnesses,
     naive_translation_failure,
+    naive_translation_witness,
     random_edges,
     to_sets,
     translator,
@@ -215,19 +217,18 @@ def _violates(translate, g, e, u):
 
 def _assert_check_matches_oracle(gp, g):
     """check_translations fails exactly when the per-generator, all-rows oracle does,
-    with the documented witness: the smallest block-0 vertex u at which a block
-    element or a field generator fails, and the first such element in that order."""
+    with the documented witness: (e, 0) for the smallest vertex u whose row is not
+    row 0 moved by e, the element that moves 0 to u."""
     failure, naive = check_translations(gp, g), naive_translation_failure(gp, g)
     assert (failure is None) == (naive is None)
+    witness = naive_translation_witness(gp, g)
+    assert (witness is None) == (naive is None)
     if failure is None:
         return
-    translate = translator(gp)
-    assert _violates(translate, g, *naive)
-    elements = _block_elements(gp) + _field_generators(gp)
-    first = next((e, u) for u in range(gp.q) for e in elements if _violates(translate, g, e, u))
-    assert failure.witness == first
-    e, u = first
-    assert failure.detail == f"translation by {tuple(e)} maps the neighbours of {u} off those of {int(translate(e)[u])}"
+    assert _violates(translator(gp), g, *naive)
+    e, u = witness
+    assert failure.witness == (e, 0)
+    assert failure.detail == f"translation by {tuple(e)} maps the neighbours of 0 off those of {u}"
 
 
 def test_two_switch_fails_vertex_transitivity(x1):
@@ -240,7 +241,7 @@ def test_two_switch_fails_vertex_transitivity(x1):
     failure = check_translations(gp, switched)
     assert cert.checks[0]["detail"] == failure.detail
     e, u = failure.witness
-    assert e in _block_elements(gp) + _field_generators(gp)
+    assert u == 0
     perm = translator(gp)(e)
     image = sorted(perm[list(switched.neighbours(u))].tolist())
     assert image != list(switched.neighbours(int(perm[u])))
@@ -343,10 +344,8 @@ def test_translation_check_matches_oracle_on_rows_stored_out_of_order(case, bloc
     row = g.neighbours(u)
     assert (row[i] // gp.q == row[j] // gp.q) == (j == 1)
     stored = _with_rows(g, {u: _swapped(row, i, j)})
-    if block == 0:
-        # the block elements map the set of row 0 onto its translates; only a
-        # field generator, mapping a row onto row 0, fails
-        assert check_translations(gp, stored).witness[0] in _field_generators(gp)
+    # every row holds the right set, but row u is not sorted
+    assert check_translations(gp, stored).witness == ((0, block, 0), 0)
     _assert_check_matches_oracle(gp, stored)
 
 
@@ -369,23 +368,22 @@ def _gathered_translates(gp, g, u, row):
 
 @pytest.mark.parametrize("case", SWITCH_CASES, ids=str)
 @pytest.mark.parametrize("edit", ["out_of_order", "other_column_blocks"])
-def test_translation_check_sorts_rows_whose_gather_matches(case, edit):
+def test_translation_check_fails_on_gathered_translates(case, edit):
     # every translate of u holds the gather of u's row in row 0's column order,
-    # so only the sort of u's image shows that the block elements fail at u
+    # which a check comparing each block with a column gather of block 0 passes
     gp, _, _, g = _cayley(*case)
     q = gp.q
     if edit == "out_of_order":
         u, row = 0, _swapped(g.neighbours(0), 0, 1)
     else:
-        # no field generator maps a smaller row onto row u
+        # a row u that no field generator reaches from a smaller row
         maps = [field_shift(gp)(e.f) for e in _field_generators(gp)]
         u = next(u for u in range(1, q) if all(np.flatnonzero(fmap == u)[0] > u for fmap in maps))
         row = list(g.neighbours(u))
         p = next(p for p in range(1, len(row)) if row[p] // q > row[p - 1] // q and (row[p - 1] + 1) % q)
         row[p] = row[p - 1] + 1  # entry p moves into the column block of entry p - 1
     stored = _gathered_translates(gp, g, u, row)
-    e, v = check_translations(gp, stored).witness
-    assert e in _block_elements(gp) and v == u
+    assert check_translations(gp, stored).witness == (decode_vertex(gp, u), 0)
     _assert_check_matches_oracle(gp, stored)
 
 
@@ -413,8 +411,8 @@ def test_block_invariant_graph_fails_on_a_field_generator(case):
     gp, _, _, g = _cayley(*case)
     switched = _block_invariant_two_switch(gp, g)
     assert switched.is_regular() == g.is_regular()
-    failure = check_translations(gp, switched)
-    assert failure is not None and failure.witness[0] in _field_generators(gp)
+    e, _ = check_translations(gp, switched).witness
+    assert (e.z, e.v) == (0, 0) and e.f  # the first row that differs is in block 0
     assert naive_translation_failure(gp, switched)[0] in _field_generators(gp)
     _assert_check_matches_oracle(gp, switched)
 
@@ -687,6 +685,16 @@ def test_certificate_l2_fails_edge_regularity():
     assert by_name["local_valencies"]
     assert by_name["mu_witnesses"]
     assert by_name["not_strongly_regular"]
+
+
+def test_certificate_proves_only_a_cayley_graph_of_the_group():
+    # the psi2 graph is a Cayley graph of the group, so the translation check
+    # passes; the checks against the psi1 predictions are what tell it apart
+    gp, _, _, g = _cayley(1, 3, 29, 1, psi2_table())
+    cert = assemble_certificate(gp, psi1_table(), "psi1", g)
+    by_name = {c["name"]: c["pass"] for c in cert.checks}
+    assert by_name["vertex_transitive"]
+    assert not any(by_name[name] for name in ("edge_regular", "parameters", "local_valencies", "mu_witnesses"))
 
 
 def test_certificate_json_contract(x1):

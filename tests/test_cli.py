@@ -399,6 +399,22 @@ def test_cyclotab_refuses_field_beyond_int64_products():
     assert proc.stdout == ""
 
 
+def test_cyclotab_refuses_a_class_table_before_the_field(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("a field was built for a table that does not fit")
+
+    # a limit just under the 8 * 100**2 bytes of the n = 100 table refuses
+    # it before the field is built
+    monkeypatch.setattr(cli, "memory_limit", lambda: 8 * 99**2)
+    monkeypatch.setattr(cli, "build_field", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["cyclotab", "--q", "101", "--n", "100"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "an n x n table for n = 100 needs about 0.0 GB" in out.err
+    assert out.out == ""
+
+
 # Extension fields whose modulus search (trial division by every monic
 # polynomial up to degree a/2) would not end: each command must answer from
 # p and a alone, within seconds.

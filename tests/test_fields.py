@@ -166,6 +166,12 @@ def test_add_array_matches_scalar_add():
         for s in (0, 1, f.q - 1, f.q // 2):
             out = f.add_array(codes, s)
             assert [f.add(int(x), s) for x in codes] == list(out)
+        # int32 codes in every row plus one element per row, as the translation
+        # check adds them
+        rows = codes.astype(np.int32)
+        table = f.add_array(np.broadcast_to(rows, (f.q, f.q)), rows[:, None])
+        assert table.dtype == np.int32
+        assert table.tolist() == [[f.add(x, s) for x in range(f.q)] for s in range(f.q)]
 
 
 def _assert_tables_match_naive(field, pd):
