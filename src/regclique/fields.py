@@ -22,6 +22,14 @@ rho are `powers(field, rho, q - 1)` and its inverse; they are built on first
 read, so callers that never read them (the parameter search, which counts
 every cyclotomic number on class 0, the `powers` of rho**n) never pay for
 them.
+
+Setting up a field is mostly number theory, vectorised where a field takes
+many steps. `is_prime` runs only the Miller-Rabin bases its size needs. The
+modulus is the first candidate that no monic polynomial of degree <= a/2
+divides, with each candidate divided by a block of them at once. The
+primitive element is the first code x with x**((q-1)/r) != 1 for each prime
+r | q - 1: for a = 1 one builtin `pow` each, for a > 1 a batch of candidates
+at a time, their stacked matrices squared once per exponent bit.
 """
 
 from functools import cached_property
@@ -33,17 +41,36 @@ from .errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, Prim
 from .graphcore import memory_limit
 
 TABLE_BLOCK = 1 << 12  # most codes one vectorised multiplication takes, bounding its temporaries
+PRIMITIVE_BATCH = 32  # candidates one order test of an extension field takes
 
-# Miller-Rabin with the first 13 primes as bases is exact below
-# MILLER_RABIN_LIMIT, the smallest strong pseudoprime to all of them
-# (Sorenson and Webster, Math. Comp. 86, 2017)
+# Miller-Rabin with the first k primes as bases is exact below MILLER_RABIN_BOUNDS[k-1],
+# the smallest strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
+# Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017); the last bound,
+# for all 13 bases, is MILLER_RABIN_LIMIT
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+MILLER_RABIN_BOUNDS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+MILLER_RABIN_LIMIT = MILLER_RABIN_BOUNDS[-1]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality check.
 
+    After a divisibility check by the 13 bases, n runs only the first k bases,
+    k the fewest whose bound exceeds n (one below 2,047, two below 1,373,653).
     A base that proves n composite is exact at any size; an n >= MILLER_RABIN_LIMIT
     that no base proves composite is refused (PrimalityOutOfRange).
     """
@@ -52,9 +79,12 @@ def is_prime(n: int) -> bool:
     for b in MILLER_RABIN_BASES:
         if n % b == 0:
             return n == b
+    for k, bound in enumerate(MILLER_RABIN_BOUNDS, 1):  # k ends at 13 from MILLER_RABIN_LIMIT on
+        if n < bound:
+            break
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     d = (n - 1) >> s
-    for b in MILLER_RABIN_BASES:
+    for b in MILLER_RABIN_BASES[:k]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -105,47 +135,50 @@ def _poly_mul_mod(u, v, modulus, p):
     return tuple(c % p for c in prod[:a])
 
 
-def _poly_divides(g, f, p):
-    """Whether monic g divides monic f over Z_p (remainder is zero)."""
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) >= len(g):
-        c = r[-1]
-        if c:
-            shift = len(r) - len(g)
-            for j in range(len(g)):
-                r[shift + j] = (r[shift + j] - c * g[j]) % p
-        r.pop()
-    return not any(r)
+def _monic_divisors(p, a):
+    """The monic polynomials of degree 1 .. a/2 over Z_p, ascending in degree and code.
 
-
-def _is_irreducible(f, p):
-    """Exhaustive trial division by all monic polynomials of degree <= deg(f)/2."""
-    a = len(f) - 1
-    if f[0] == 0:  # divisible by x
-        return a == 1
+    Yields (d, D) arrays of at most TABLE_BLOCK columns, column j the low
+    coefficients c_0 .. c_{d-1} of one polynomial.
+    """
     for d in range(1, a // 2 + 1):
-        for code in range(p**d):
-            g, c = [], code
-            for _ in range(d):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            if _poly_divides(g, f, p):
-                return False
-    return True
+        place = p ** np.arange(d, dtype=np.int64)
+        for lo in range(0, p**d, TABLE_BLOCK):
+            yield np.arange(lo, min(p**d, lo + TABLE_BLOCK), dtype=np.int64) // place[:, None] % p
+
+
+def _has_divisor(f: np.ndarray, divisors: np.ndarray, p: int) -> bool:
+    """Whether a monic polynomial among divisors, a block of `_monic_divisors`, divides monic f over Z_p.
+
+    Synthetic division of one copy of f's a + 1 little-endian coefficients
+    per divisor at once: row i of the remainders eliminates x**i, so each step
+    takes products below p**2.
+    """
+    d = len(divisors)
+    r = np.empty((len(f), divisors.shape[1]), dtype=np.int64)
+    r[:] = f[:, None]
+    for i in range(len(f) - 1, d - 1, -1):
+        step = r[i - d : i]
+        step -= r[i] * divisors
+        step %= p
+    return not r[:d].sum(axis=0).all()  # remainders lie in [0, p), so only a zero one sums to 0
 
 
 def _find_modulus(p, a):
-    """Smallest monic irreducible of degree a, by ascending code of (c_0..c_{a-1})."""
+    """Smallest monic irreducible of degree a > 1, by ascending code of (c_0..c_{a-1}).
+
+    A candidate is irreducible when no monic polynomial of degree d <= a/2
+    divides it; it is divided by TABLE_BLOCK of them at a time, and the
+    first block holding a divisor ends its test.
+    """
     for code in range(p**a):
         coeffs, c = [], code
         for _ in range(a):
             coeffs.append(c % p)
             c //= p
-        f = tuple(coeffs) + (1,)
-        if _is_irreducible(f, p):
-            return f
+        f = np.array(coeffs + [1], dtype=np.int64)
+        if not any(_has_divisor(f, divisors, p) for divisors in _monic_divisors(p, a)):
+            return tuple(coeffs) + (1,)
     raise AssertionError(f"no irreducible polynomial of degree {a} over GF({p})")
 
 
@@ -296,8 +329,9 @@ def field_order(p: int, a: int) -> int:
 def build_field(p: int, a: int) -> Field:
     """Validated GF(p^a); for a > 1 the reduction modulus is found deterministically.
 
-    The modulus search trial-divides by every monic polynomial up to degree
-    a/2, so callers run their size checks on `field_order` first.
+    The modulus search divides each candidate by every monic polynomial up
+    to degree a/2, TABLE_BLOCK of them per vectorised step. That is still
+    exponential in a, so callers run their size checks on `field_order` first.
     """
     q = field_order(p, a)
     return Field(p=p, a=a, q=q, modulus=None if a == 1 else _find_modulus(p, a))
@@ -315,10 +349,6 @@ def factorize(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _has_full_order(field: Field, x: int, prime_factors) -> bool:
-    return all(field.pow(x, (field.q - 1) // f) != 1 for f in prime_factors)
 
 
 def check_table_footprint(p: int, a: int) -> None:
@@ -398,21 +428,55 @@ class PrimitiveData:
         return log
 
 
+def _first_of_full_order(field: Field, codes: np.ndarray, exponents: list):
+    """Index of the first code x of an extension field with x**e != 1 for every e in exponents, or None.
+
+    The codes' multiplication matrices, stacked, are squared once per bit to
+    give those of x**(2**i); each is applied to the digits of the powers whose
+    exponents have bit i set, which start at the digits of 1. Every product
+    sums a terms below p**2.
+    """
+    p, a = field.p, field.a
+    place = p ** np.arange(a, dtype=np.int64)
+    square = np.tensordot(codes[:, None] // place % p, field.x_matrices, axes=1) % p
+    bits = np.array([[e >> i & 1 for e in exponents] for i in range(max(exponents).bit_length())], dtype=bool)
+    power = np.zeros((len(codes), a, len(exponents)), dtype=np.int64)
+    power[:, 0] = 1
+    for i, bit in enumerate(bits):  # bit: the exponents with bit i set
+        if i:
+            square = square @ square % p
+        power[:, :, bit] = square @ power[:, :, bit] % p
+    # the batch's few codes are read in Python: numpy reductions here would page in code the search never runs otherwise
+    return next((i for i, row in enumerate((place @ power).tolist()) if 1 not in row), None)
+
+
 def find_primitive_element(field: Field) -> PrimitiveData:
     """First element of multiplicative order q-1 in ascending code order (2, 3, ...).
 
+    x has full order when x**((q-1)/r) != 1 for every prime r dividing q - 1.
+    For a = 1 each candidate is tested by builtin `pow`; for a > 1
+    PRIMITIVE_BATCH candidates at a time by `_first_of_full_order`.
     Refuses (FieldTooLarge) a field whose discrete-log tables could not be
     built, although they are only built when read.
     """
     check_table_footprint(field.p, field.a)
-    if field.q == 2:
+    p, q = field.p, field.q
+    if q == 2:
         return PrimitiveData(1, field)
-    factors = list(factorize(field.q - 1))
-    # when a > 1 the codes below p form the prime subfield, whose orders divide p - 1 < q - 1
-    for cand in range(field.p if field.a > 1 else 2, field.q):
-        if _has_full_order(field, cand, factors):
-            return PrimitiveData(cand, field)
-    raise AssertionError(f"no primitive element found in GF({field.q})")
+    exponents = [(q - 1) // r for r in factorize(q - 1)]
+    if field.a == 1:
+        for cand in range(2, p):
+            for e in exponents:
+                if pow(cand, e, p) == 1:
+                    break
+            else:
+                return PrimitiveData(cand, field)
+    else:  # the codes below p form the prime subfield, whose orders divide p - 1 < q - 1
+        for lo in range(p, q, PRIMITIVE_BATCH):
+            i = _first_of_full_order(field, np.arange(lo, min(q, lo + PRIMITIVE_BATCH), dtype=np.int64), exponents)
+            if i is not None:
+                return PrimitiveData(lo + i, field)
+    raise AssertionError(f"no primitive element found in GF({q})")
 
 
 def dlog(pd: PrimitiveData, x: int) -> int:

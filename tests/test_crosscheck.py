@@ -5,6 +5,7 @@ regularity, sympy decides irreducibility, primitive roots, primality and
 factorizations.
 """
 
+import functools
 import os
 import random
 import subprocess
@@ -14,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from regclique.certify import Failure, check_edge_regular, check_strongly_regular
+from regclique import fields
 from regclique.errors import PrimalityOutOfRange
 from regclique.fields import (
+    MILLER_RABIN_BOUNDS,
     MILLER_RABIN_LIMIT,
     _find_modulus,
     build_field,
@@ -58,21 +61,38 @@ def test_srg_verdict_agrees_with_networkx(petersen, x1, m3_29):
     assert {"SRG", "NotSRG", "Complete"} <= set(verdicts)
 
 
-def test_field_moduli_are_irreducible_by_sympy():
+@functools.cache
+def _first_irreducibles():
+    """{(p, a): the first monic polynomial of degree a in code order that sympy calls irreducible over Z_p}.
+
+    Every p**a <= 20,000 with a > 1, and four larger degrees.
+    """
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
-    extensions = [(p, a) for _, p, a in prime_powers(2000) if a > 1]
-    assert len(extensions) > 20
-    for p, a in extensions:
-        modulus = _find_modulus(p, a)
-        assert sympy.Poly(list(reversed(modulus)), x, modulus=p).is_irreducible, (p, a, modulus)
+    out = {}
+    for p, a in [(p, a) for _, p, a in prime_powers(20000) if a > 1] + [(2, 20), (3, 12), (101, 3), (7, 8)]:
+        for code in range(p**a):
+            coeffs = tuple(code // p**i % p for i in range(a)) + (1,)
+            if sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible:
+                out[p, a] = coeffs
+                break
+    return out
 
 
-def test_prime_field_rho_is_a_primitive_root_by_sympy():
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_field_moduli_are_the_first_irreducibles_by_sympy(monkeypatch, block):
+    # blocks of 1 and 3 divisors split every degree's divisors over many steps
+    expected = _first_irreducibles()
+    assert len(expected) == 66 + 4
+    if block:
+        monkeypatch.setattr(fields, "TABLE_BLOCK", block)
+    assert {(p, a): _find_modulus(p, a) for p, a in expected} == expected
+
+
+def test_prime_field_rho_is_the_smallest_primitive_root_by_sympy():
     ntheory = pytest.importorskip("sympy.ntheory")
-    for p in primes_up_to(2000):
-        rho = find_primitive_element(build_field(p, 1)).rho
-        assert ntheory.is_primitive_root(rho, p), (p, rho)
+    for p in primes_up_to(20000):
+        assert find_primitive_element(build_field(p, 1)).rho == ntheory.primitive_root(p), p
 
 
 def test_is_prime_agrees_with_sympy():
@@ -95,6 +115,16 @@ def test_is_prime_beyond_its_exact_range_decides_only_composites():
     # a base that proves n composite is exact at any size
     for n in (2**100, 6 * 2**88, sympy.nextprime(10**15) * sympy.nextprime(10**16), MILLER_RABIN_LIMIT + 2):
         assert not sympy.isprime(n) and not is_prime(n), n
+
+
+def test_is_prime_at_each_miller_rabin_bound():
+    # each bound is the smallest strong pseudoprime to the bases before it, so
+    # it takes one base more; the last, which passes all 13, is refused above
+    sympy = pytest.importorskip("sympy")
+    for bound in MILLER_RABIN_BOUNDS:
+        assert not sympy.isprime(bound) and is_prime(sympy.prevprime(bound)), bound
+    for bound in MILLER_RABIN_BOUNDS[:-1]:
+        assert not is_prime(bound), bound
 
 
 def test_prime_power_decompose_agrees_with_sympy():

@@ -22,6 +22,21 @@ def test_is_prime_small():
     assert not is_prime(7917)
 
 
+def test_is_prime_runs_only_the_bases_it_needs(monkeypatch):
+    # one modular exponentiation per base: a sieve's primes need one or two, not 13
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(fields, "pow", counting_pow, raising=False)
+    for n, bases in [(2039, 1), (2053, 2), (1_373_639, 2), (1_373_677, 3), (10**12 + 39, 5)]:
+        calls.clear()
+        assert is_prime(n)
+        assert len(calls) == bases, n
+
+
 def test_build_prime_field():
     f = build_field(7, 1)
     assert (f.p, f.a, f.q) == (7, 1, 7)
@@ -155,6 +170,16 @@ def test_primitive_element_matches_naive_scan_on_extension_fields():
     assert {(f.p, f.a) for f in extensions} >= {(2, 14), (3, 9), (139, 2)}
     for f in extensions:
         assert find_primitive_element(f).rho == next(naive_primitive_elements(f))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_primitive_element_matches_naive_scan_across_batches(monkeypatch, size):
+    monkeypatch.setattr(fields, "PRIMITIVE_BATCH", size)
+    monkeypatch.setattr(fields, "TABLE_BLOCK", size)
+    for _, p, a in prime_powers(20000):
+        if a > 1:
+            f = build_field(p, a)
+            assert find_primitive_element(f).rho == next(naive_primitive_elements(f)), (p, a)
 
 
 def test_add_array_matches_scalar_add():
