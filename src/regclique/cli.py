@@ -24,9 +24,9 @@ from .construction import (
     validate_bijection,
 )
 from .cyclotomy import cyclotomic_table, make_context
-from .errors import BadCongruence, FieldTooLarge, GraphTooLarge, RegcliqueError, SearchTooLarge
+from .errors import BadCongruence, FieldTooLarge, GraphTooLarge, RegcliqueError, SearchTooLarge, require_memory
 from .fields import build_field, check_table_footprint, field_order, find_primitive_element
-from .graphcore import Graph, memory_limit
+from .graphcore import Graph
 from .numtheory import prime_power_decompose, search_m2, search_m3
 
 # The graph commands refuse N = 2^m * l * q, and cyclotab q, of more bits.
@@ -72,7 +72,7 @@ def _add_graph_arguments(sp):
     sp.add_argument("--l", type=int, default=1, help="order of the cyclic factor (default 1)")
     sp.add_argument("--q", type=int, help="field order (a prime power)")
     sp.add_argument("--p", type=int, help="field characteristic (use with --a)")
-    sp.add_argument("--a", type=int, default=1, help="field extension degree (default 1)")
+    sp.add_argument("--a", type=int, help="field extension degree (default 1 with --p)")
     sp.add_argument("--pi", help="comma list: images of the nonzero vectors in ascending value order")
     sp.add_argument("--variant", choices=("psi1", "psi2"), help="built-in bijection for m = 3")
 
@@ -103,7 +103,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cyclotab", help="print the n x n cyclotomic number table of GF(q)")
     sp.add_argument("--q", type=int)
     sp.add_argument("--p", type=int)
-    sp.add_argument("--a", type=int, default=1)
+    sp.add_argument("--a", type=int)
     sp.add_argument("--n", type=int, required=True)
 
     return parser
@@ -129,6 +129,7 @@ def _resolve_order(parser, args, m=0, l=1):
     Callers run their size checks on p**a before `build_field`, whose modulus
     search would take exponential time on a field too large to use.
     """
+    a_named = 1 if args.a is None and args.p is not None else args.a  # --a defaults to 1 with --p
     if args.q is not None:
         _check_order_bits(parser, m, l, args.q, 1)
         try:
@@ -138,10 +139,10 @@ def _resolve_order(parser, args, m=0, l=1):
         if pp is None:
             parser.error(f"q = {args.q} is not a prime power")
         p, a = pp
-        if args.p is not None and (args.p, args.a) != (p, a):
+        if args.p not in (None, p) or a_named not in (None, a):
             parser.error(f"--p/--a inconsistent with --q {args.q} = {p}^{a}")
     elif args.p is not None:
-        p, a = args.p, args.a
+        p, a = args.p, a_named
         _check_order_bits(parser, m, l, p, a)
     else:
         parser.error("a field is required: give --q or --p (with --a)")
@@ -184,26 +185,12 @@ def _resolve_construction(parser, args):
     return p, a, pi, variant
 
 
-def _primitive_element(parser, field):
-    try:
-        return find_primitive_element(field)
-    except FieldTooLarge as exc:
-        parser.error(str(exc))
-
-
 def _build_graph(parser, args):
     p, a, pi, variant = _resolve_construction(parser, args)
-    try:
-        check_graph_fits(args.l, args.m, p**a)  # before the field and its tables, which are far smaller
-    except GraphTooLarge as exc:
-        parser.error(str(exc))
+    check_graph_fits(args.l, args.m, p**a)  # before the field and its tables, which are far smaller
     field = build_field(p, a)
-    gp = make_group(args.l, args.m, field, _primitive_element(parser, field))
-    try:
-        graph = build_cayley_graph(gp, generating_set(gp, pi))
-    except GraphTooLarge as exc:
-        parser.error(str(exc))
-    return gp, pi, variant, graph
+    gp = make_group(args.l, args.m, field, find_primitive_element(field))
+    return gp, pi, variant, build_cayley_graph(gp, generating_set(gp, pi))
 
 
 def _write(parser, path, write) -> None:
@@ -222,11 +209,7 @@ def _write(parser, path, write) -> None:
 def _cmd_search(parser, args) -> int:
     if args.q_max < 2:
         parser.error("--q-max must be at least 2")
-    try:
-        records = search_m2(args.q_max) if args.m == 2 else search_m3(args.q_max)
-    except (SearchTooLarge, FieldTooLarge) as exc:
-        parser.error(str(exc))
-    for record in records:
+    for record in (search_m2 if args.m == 2 else search_m3)(args.q_max):
         print(record.summary())
     return 0
 
@@ -260,20 +243,11 @@ def _cmd_cyclotab(parser, args) -> int:
     p, a = _resolve_order(parser, args)
     if args.n < 1:
         parser.error("n must be at least 1")
-    need, limit = 8 * args.n**2, memory_limit()  # the int64 n x n table
-    if need > limit:
-        parser.error(
-            f"an n x n table for n = {args.n} needs about {need / 1e9:.1f} GB, "
-            f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
-        )
-    try:
-        check_table_footprint(p, a)  # before the modulus search
-    except FieldTooLarge as exc:
-        parser.error(str(exc))
+    require_memory(8 * args.n**2, FieldTooLarge, f"an n x n table for n = {args.n} needs")  # int64 entries
+    check_table_footprint(p, a)  # before the modulus search
     field = build_field(p, a)
-    pd = _primitive_element(parser, field)
     try:
-        ctx = make_context(field, pd, args.n)
+        ctx = make_context(field, find_primitive_element(field), args.n)
     except BadCongruence as exc:
         parser.error(str(exc))
     table = cyclotomic_table(ctx)
@@ -294,7 +268,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](parser, args)
+    try:
+        return _COMMANDS[args.command](parser, args)
+    except (GraphTooLarge, FieldTooLarge, SearchTooLarge) as exc:  # a size the memory budget refuses
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

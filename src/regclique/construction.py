@@ -14,9 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVector
+from .errors import AsymmetricGeneratingSet, GraphTooLarge, IndexOutOfRange, ZeroVector, require_memory
 from .fields import Field, PrimitiveData, dlog
-from .graphcore import Graph, check_footprint
+from .graphcore import Graph
+
+# Bytes per vertex besides the CSR indices while a Cayley graph is built and
+# certified: indptr and degrees, the N-entry temporaries of a scan from one
+# vertex, the spread's int64 vertex array
+VERTEX_BYTES = 192
 
 
 class GroupElement(NamedTuple):
@@ -178,13 +183,20 @@ def graph_size(l: int, m: int, q: int) -> tuple:
     return l * (1 << m) * q, l * (1 << m) + q - 2
 
 
+def check_footprint(n: int, k: int) -> None:
+    """Refuse (GraphTooLarge) a graph on n vertices of degree k beyond the memory budget.
+
+    Building and certifying it takes 4 * k bytes of int32 CSR indices and VERTEX_BYTES per vertex.
+    """
+    require_memory(n * (4 * k + VERTEX_BYTES), GraphTooLarge, f"N = {n} vertices need", " for the graph")
+
+
 def check_graph_fits(l: int, m: int, q: int) -> None:
     """Refuse a Cayley graph on Z_l + Z_2^m + F_q that would not fit in memory (GraphTooLarge).
 
     It needs no field tables, so callers can run it before building them.
     """
-    n, k = graph_size(l, m, q)
-    check_footprint(n, n * k)
+    check_footprint(*graph_size(l, m, q))
 
 
 def group_generators(gp: GroupParams) -> list:
@@ -222,7 +234,7 @@ def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
         raise AsymmetricGeneratingSet(witness)
 
     n, q, k = gp.n_vertices, gp.q, s.size
-    check_footprint(n, n * k)
+    check_footprint(n, k)
     vectors = 1 << gp.m
     parts = {}
     for e in s.elements:

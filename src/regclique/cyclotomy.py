@@ -21,15 +21,10 @@ from .fields import Field, PrimitiveData, dlog, powers
 
 
 class CyclotomicContext:
-    """A field with primitive data and a class count n dividing q-1.
+    """A field with primitive data and a class count n dividing q-1."""
 
-    r is the half-class-size parameter with q = 2nr + 1 (each class then has
-    2r elements); it is only set when 2n divides q-1, and operations that
-    need it check this explicitly.
-    """
-
-    def __init__(self, field: Field, pd: PrimitiveData, n: int, r: int | None):
-        self.field, self.pd, self.n, self.r = field, pd, n, r
+    def __init__(self, field: Field, pd: PrimitiveData, n: int):
+        self.field, self.pd, self.n = field, pd, n
         self._cache = {}
 
     def coset(self, i: int) -> np.ndarray:
@@ -57,8 +52,7 @@ class CyclotomicContext:
 def make_context(field: Field, pd: PrimitiveData, n: int) -> CyclotomicContext:
     if n < 1 or (field.q - 1) % n != 0:
         raise BadCongruence(f"n = {n} does not divide q - 1 = {field.q - 1}")
-    r = (field.q - 1) // (2 * n) if (field.q - 1) % (2 * n) == 0 else None
-    return CyclotomicContext(field=field, pd=pd, n=n, r=r)
+    return CyclotomicContext(field=field, pd=pd, n=n)
 
 
 def class_index(ctx: CyclotomicContext, x: int) -> int:

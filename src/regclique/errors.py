@@ -1,4 +1,32 @@
-"""Exception types raised by the regclique package."""
+"""Exception types raised by the regclique package, and the one memory budget.
+
+Every size refusal (a graph, a field's tables, the search's sieve, the
+`cyclotab` table) goes through `require_memory`, which raises the caller's
+error when an estimate exceeds `memory_limit()`.
+"""
+
+import os
+from functools import cache
+
+
+@cache
+def memory_limit() -> int:
+    """Half of this host's physical memory, read once per process: the most bytes one estimate may take."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
+def require_memory(need: int, error: type, subject: str, use: str = "") -> None:
+    """Raise error when need bytes exceed memory_limit().
+
+    The message reads "{subject} about X GB{use}, more than half of the Y GB
+    of physical memory", e.g. subject "GF(17) needs" and use " for its exp/log tables".
+    """
+    limit = memory_limit()
+    if need > limit:
+        raise error(
+            f"{subject} about {need / 1e9:.1f} GB{use}, "
+            f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
+        )
 
 
 class RegcliqueError(Exception):
@@ -66,7 +94,7 @@ class SearchTooLarge(RegcliqueError):
 
 
 class FieldTooLarge(RegcliqueError):
-    """Raised before building field tables that would not fit in memory or in int64 arithmetic."""
+    """Raised before building field tables (exp/log or an n x n cyclotomic table) beyond memory or int64 arithmetic."""
 
 
 class NotEdgeRegular(RegcliqueError):

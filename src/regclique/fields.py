@@ -37,8 +37,15 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, PrimalityOutOfRange, ZeroHasNoLog
-from .graphcore import memory_limit
+from .errors import (
+    ExponentZero,
+    FieldTooLarge,
+    IndexOutOfRange,
+    NotPrime,
+    PrimalityOutOfRange,
+    ZeroHasNoLog,
+    require_memory,
+)
 
 TABLE_BLOCK = 1 << 12  # most codes one vectorised multiplication takes, bounding its temporaries
 PRIMITIVE_BATCH = 32  # candidates one order test of an extension field takes
@@ -360,13 +367,7 @@ def check_table_footprint(p: int, a: int) -> None:
     q = p**a
     if a * p**2 >= 2**63:
         raise FieldTooLarge(f"GF({q}) is too large for int64 table arithmetic (p = {p})")
-    need = 16 * q
-    limit = memory_limit()
-    if need > limit:
-        raise FieldTooLarge(
-            f"GF({q}) needs about {need / 1e9:.1f} GB for its exp/log tables, "
-            f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
-        )
+    require_memory(16 * q, FieldTooLarge, f"GF({q}) needs", " for its exp/log tables")
 
 
 def _chain(g: int, count: int, p: int) -> np.ndarray:

@@ -11,38 +11,11 @@ w at once, from k^2 entries for a graph of degree k, so the graph takes
 N·k·4 bytes plus a few arrays of N entries.
 """
 
-import os
 from collections import Counter
 
 import numpy as np
 
-from .errors import EmptyGraph, GraphTooLarge, IndexOutOfRange, SameVertex
-
-# Bytes per vertex besides the CSR indices while a Cayley graph is built and
-# certified: indptr and degrees, the N-entry temporaries of a scan from one
-# vertex, the spread's int64 vertex array
-VERTEX_BYTES = 192
-
-
-def footprint_bytes(n: int, degree_sum: int) -> int:
-    """Bytes a graph on n vertices takes to build and certify: int32 CSR indices plus VERTEX_BYTES per vertex."""
-    return degree_sum * 4 + n * VERTEX_BYTES
-
-
-def memory_limit() -> int:
-    """Half of this host's physical memory: the most bytes one graph or one field's tables may take."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
-
-
-def check_footprint(n: int, degree_sum: int) -> None:
-    """Refuse a graph whose footprint exceeds half of this host's physical memory."""
-    need = footprint_bytes(n, degree_sum)
-    limit = memory_limit()
-    if need > limit:
-        raise GraphTooLarge(
-            f"N = {n} vertices need about {need / 1e9:.1f} GB for the graph, "
-            f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
-        )
+from .errors import EmptyGraph, IndexOutOfRange, SameVertex
 
 
 class Graph:
@@ -119,7 +92,7 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise SameVertex(f"common neighbours of {u} with itself")
-        return len(np.intersect1d(self._row(u), self._row(v), assume_unique=True))
+        return int(self.adjacent_counts(self._row(u))[v])
 
     def pair_counts(self, u: int, adjacent: bool):
         """(vs, counts): the v > u that are (or are not) adjacent to u, ascending,

@@ -10,9 +10,8 @@ from math import gcd, isqrt, log, log2
 from typing import NamedTuple
 
 from .cyclotomy import make_context, cyclotomic_number
-from .errors import NotCoprime, SearchTooLarge
+from .errors import NotCoprime, SearchTooLarge, require_memory
 from .fields import build_field, factorize, find_primitive_element, is_prime
-from .graphcore import memory_limit
 
 __all__ = [
     "is_prime",
@@ -90,14 +89,9 @@ def prime_powers(limit: int):
     """All (q, p, a) with q = p**a <= limit, ascending in q.
 
     Refuses (SearchTooLarge) a limit whose sieve and prime list would exceed
-    half of this host's physical memory.
+    the memory budget (`errors.memory_limit`).
     """
-    need, available = sieve_bytes(limit), memory_limit()
-    if need > available:
-        raise SearchTooLarge(
-            f"listing the prime powers up to {limit} needs about {need / 1e9:.1f} GB, "
-            f"more than half of the {2 * available / 1e9:.1f} GB of physical memory"
-        )
+    require_memory(sieve_bytes(limit), SearchTooLarge, f"listing the prime powers up to {limit} needs")
     out = []
     for p in primes_up_to(limit):
         q, a = p, 1

@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 import regclique
-from regclique import cli, cyclotomy, fields, graphcore, numtheory
+from regclique import cli, cyclotomy, errors, fields, numtheory
 from regclique.cli import main
-from regclique.construction import check_graph_fits
+from regclique.construction import VERTEX_BYTES, check_graph_fits
 from regclique.errors import GraphTooLarge
-from regclique.graphcore import footprint_bytes
 
 from reference import edge_list
 
@@ -121,19 +120,40 @@ def test_build_summary_line(capsys):
     assert out == "N=28 k=9 M=126\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("build", "--m", "2", "--q", "7", "--a", "5"), "--p/--a inconsistent with --q 7 = 7^1"),
+        (("cyclotab", "--q", "7", "--a", "0", "--n", "1"), "--p/--a inconsistent with --q 7 = 7^1"),
+        (("build", "--m", "2", "--q", "49", "--p", "7"), "--p/--a inconsistent with --q 49 = 7^2"),  # --a 1 with --p
+    ],
+)
+def test_a_that_differs_from_the_exponent_of_q_is_refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.splitlines()[-1] == f"regclique: error: {message}"
+
+
+@pytest.mark.parametrize("field", [("--q", "49", "--a", "2"), ("--q", "49", "--p", "7", "--a", "2")])
+def test_a_that_matches_the_exponent_of_q_is_accepted(capsys, field):
+    assert run_cli(capsys, "build", "--m", "2", *field) == (0, "N=196 k=51 M=4998\n", "")
+
+
 def test_build_prints_size_without_building_the_graph(capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("build must not construct the graph")
 
     monkeypatch.setattr(cli, "build_cayley_graph", refuse)
-    monkeypatch.setattr(graphcore, "memory_limit", lambda: 10**9)  # the guard admits N = 168,364 on any host
+    monkeypatch.setattr(errors, "memory_limit", lambda: 10**9)  # the guard admits N = 168,364 on any host
     code, out, _ = run_cli(capsys, "build", "--m", "2", "--q", "859", "--l", "49")
     assert (code, out) == (0, "N=168364 k=1053 M=88643646\n")
 
 
 def test_build_prints_size_of_a_graph_the_guard_refuses(capsys, monkeypatch, tmp_path):
     # N = 209,888, k = 1,159: the graph needs about 1.0 GB, its N, k and M nothing
-    monkeypatch.setattr(graphcore, "memory_limit", lambda: 10**9)
+    monkeypatch.setattr(errors, "memory_limit", lambda: 10**9)
     code, out, _ = run_cli(capsys, "build", "--m", "2", "--q", "937", "--l", "56")
     assert (code, out) == (0, "N=209888 k=1159 M=121630096\n")
     out_path = tmp_path / "cert.json"
@@ -307,13 +327,51 @@ def test_search_builds_class_zero_only(monkeypatch, capsys, argv):
 
 
 def test_search_refuses_a_field_the_table_guard_refuses(monkeypatch, capsys):
-    monkeypatch.setattr(fields, "memory_limit", lambda: 16 * 1000)  # GF(q) for q <= 1000 only
+    # the limit admits the sieve to 20,000 and the tables of GF(q) for 16 * q up to it only
+    monkeypatch.setattr(errors, "memory_limit", lambda: numtheory.sieve_bytes(20000))
     with pytest.raises(SystemExit) as exc:
-        main(["search", "--m", "2", "--q-max", "2000"])
+        main(["search", "--m", "2", "--q-max", "20000"])
     out = capsys.readouterr()
     assert exc.value.code == 2
-    assert "GF(1009) needs about 0.0 GB for its exp/log tables" in out.err
+    assert "GF(19009) needs about 0.0 GB for its exp/log tables" in out.err
     assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("certify", "--m", "2", "--q", "937", "--l", "56"),
+            "N = 209888 vertices need about 1.0 GB for the graph, more than half of the 2.0 GB of physical memory",
+        ),
+        (
+            ("cyclotab", "--q", "2100000127", "--n", "3"),
+            "GF(2100000127) needs about 33.6 GB for its exp/log tables, more than half of the 2.0 GB of physical memory",
+        ),
+        (
+            ("cyclotab", "--q", "3037000507", "--n", "1"),
+            "GF(3037000507) is too large for int64 table arithmetic (p = 3037000507)",
+        ),
+        (
+            ("search", "--m", "2", "--q-max", "100000000000"),
+            "listing the prime powers up to 100000000000 needs about 655.0 GB, "
+            "more than half of the 2.0 GB of physical memory",
+        ),
+        (
+            ("cyclotab", "--q", "65537", "--n", "65536"),
+            "an n x n table for n = 65536 needs about 34.4 GB, more than half of the 2.0 GB of physical memory",
+        ),
+    ],
+)
+def test_every_size_refusal_is_a_usage_error(monkeypatch, capsys, tmp_path, argv, message):
+    monkeypatch.setattr(errors, "memory_limit", lambda: 10**9)  # half of 2.0 GB, on any host
+    out_path = tmp_path / "cert.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out_path)] if argv[0] == "certify" else list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.splitlines()[-1] == f"regclique: error: {message}"
+    assert not out_path.exists()
 
 
 def _limit_address_space():
@@ -350,7 +408,7 @@ def test_build_prints_size_of_any_l_without_per_element_memory():
 
 def test_certify_refuses_graph_beyond_memory(tmp_path):
     n = 4 * 112 * 1993  # m=2, l=112, q=1993: a search hit with N = 892,864
-    need = footprint_bytes(n, n * (4 * 112 - 2 + 1993))
+    need = n * (4 * (4 * 112 - 2 + 1993) + VERTEX_BYTES)
     if _host_could_hold(need):
         pytest.skip("this host could hold the graph")
     out = tmp_path / "cert.json"
@@ -361,7 +419,7 @@ def test_certify_refuses_graph_beyond_memory(tmp_path):
 
 
 def test_graph_guard_admits_csr_within_limit(monkeypatch):
-    monkeypatch.setattr(graphcore, "memory_limit", lambda: 10**9)
+    monkeypatch.setattr(errors, "memory_limit", lambda: 10**9)
     check_graph_fits(49, 2, 859)  # N = 168,364, k = 1,053: about 0.74 GB
     with pytest.raises(GraphTooLarge, match="N = 209888 vertices need about 1.0 GB"):
         check_graph_fits(56, 2, 937)  # a search hit just above 1 GB
@@ -372,7 +430,7 @@ BIG_PRIME = 2_100_000_127  # = 1 mod 6; its exp/log tables alone take 33.6 GB
 
 def test_certify_refuses_graph_before_building_field_tables(tmp_path):
     n = 4 * BIG_PRIME
-    need = footprint_bytes(n, n * (4 - 2 + BIG_PRIME))
+    need = n * (4 * (4 - 2 + BIG_PRIME) + VERTEX_BYTES)
     if _host_could_hold(16 * BIG_PRIME):
         pytest.skip("this host could hold the field tables")
     out = tmp_path / "cert.json"
@@ -405,7 +463,7 @@ def test_cyclotab_refuses_a_class_table_before_the_field(monkeypatch, capsys):
 
     # a limit just under the 8 * 100**2 bytes of the n = 100 table refuses
     # it before the field is built
-    monkeypatch.setattr(cli, "memory_limit", lambda: 8 * 99**2)
+    monkeypatch.setattr(errors, "memory_limit", lambda: 8 * 99**2)
     monkeypatch.setattr(cli, "build_field", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(["cyclotab", "--q", "101", "--n", "100"])

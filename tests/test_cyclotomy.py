@@ -25,13 +25,6 @@ def gf7_n3():
     return context(7, 1, 3)
 
 
-def test_context_r_parameter(gf7_n3):
-    assert gf7_n3.r == 1  # 7 = 2*3*1 + 1
-    assert context(13, 1, 3).r == 2
-    assert context(29, 1, 7).r == 2  # classes of size 4
-    assert context(2, 2, 3).r is None  # GF(4): 3 | 3 but 6 does not divide 3
-
-
 def test_context_rejects_non_divisor():
     field = build_field(7, 1)
     pd = find_primitive_element(field)

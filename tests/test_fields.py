@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import field_inv, naive_exp_table, naive_primitive_elements
-from regclique import fields
+from regclique import errors, fields
 from regclique.errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, ZeroHasNoLog
 from regclique.fields import PrimitiveData, build_field, dlog, find_primitive_element, is_prime
 from regclique.numtheory import prime_powers
@@ -106,7 +106,7 @@ def test_primitive_element_gf49_regression():
 
 
 def test_primitive_element_refuses_tables_beyond_memory_before_building_them(monkeypatch):
-    monkeypatch.setattr(fields, "memory_limit", lambda: 16 * 13)
+    monkeypatch.setattr(errors, "memory_limit", lambda: 16 * 13)
     assert find_primitive_element(build_field(13, 1)).rho == 2
     with pytest.raises(FieldTooLarge, match=r"GF\(17\) needs about 0.0 GB for its exp/log tables"):
         find_primitive_element(build_field(17, 1))

@@ -1,8 +1,9 @@
+import os
 from math import gcd
 
 import pytest
 
-from regclique import numtheory
+from regclique import errors, numtheory
 from regclique.errors import NotCoprime, SearchTooLarge
 from regclique.numtheory import (
     is_prime,
@@ -49,10 +50,20 @@ def test_sieve_bytes_bounds_the_prime_list():
 
 
 def test_prime_powers_refuse_a_sieve_beyond_memory(monkeypatch):
-    monkeypatch.setattr(numtheory, "memory_limit", lambda: sieve_bytes(1000))
+    monkeypatch.setattr(errors, "memory_limit", lambda: sieve_bytes(1000))
     assert prime_powers(1000)[-1] == (997, 997, 1)
     with pytest.raises(SearchTooLarge, match="listing the prime powers up to 1001 needs about 0.0 GB"):
         prime_powers(1001)
+
+
+def test_search_reads_physical_memory_once(monkeypatch):
+    # every field's table guard and the sieve guard share one limit, read once per process
+    calls = []
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: calls.append(name) or sysconf(name))
+    errors.memory_limit.cache_clear()
+    search_m2(2000)
+    assert len(calls) <= 2
 
 
 def test_multiplicative_order():
