@@ -135,8 +135,15 @@ def _pair_profile(g: Graph, sources, adjacent: bool) -> dict:
     many common neighbours."""
     found = {}
     for u in range(g.n) if sources is None else sources:
-        vs, counts = g.pair_counts(u, adjacent)
-        values, first = np.unique(counts, return_index=True)
+        row = g.indices[g.indptr[u] : g.indptr[u + 1]]
+        if adjacent:
+            vs = row[row > u]
+        else:
+            others = np.ones(g.n, dtype=bool)
+            others[: u + 1] = False
+            others[row] = False
+            vs = np.flatnonzero(others)
+        values, first = np.unique(g.adjacent_counts(row)[vs], return_index=True)
         for count, i in zip(values.tolist(), first.tolist()):
             found.setdefault(count, (u, int(vs[i])))
     return found
@@ -223,7 +230,7 @@ def canonical_spread(gp: GroupParams) -> np.ndarray:
 
 def clique_nexus(g: Graph, clique) -> CliqueReport:
     """Verify pairwise adjacency, then count outside attachments."""
-    clique = tuple(sorted(set(clique)))
+    clique = tuple(sorted({int(v) for v in clique}))
     if len(clique) < 2:
         raise ValueError("a clique report needs at least two vertices")
     members = np.array(clique)
@@ -497,8 +504,10 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
         record("local_valencies", False, f"no cyclotomic context: {exc}")
         record("mu_witnesses", False, f"no cyclotomic context: {exc}")
     else:
+        nbrs = np.array(g.neighbours(0), dtype=np.intp)
+        at_zero = g.adjacent_counts(nbrs)  # |N(0) & N(w)| for every vertex w
         predicted = predicted_local_valencies(gp, pi, ctx)
-        measured = g.neighbourhood_degree_multiset(0)
+        measured = Counter(at_zero[nbrs].tolist())
         record(
             "local_valencies",
             predicted == measured,
@@ -510,10 +519,8 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
             if pi[gv - 1] == 1:
                 continue
             want = predicted_mu_witness(gp, pi, ctx, gv)
-            try:
-                got = g.common_neighbours(0, encode_vertex(gp, GroupElement(0, gv, gp.pd.rho)))
-            except IndexOutOfRange:  # the witness vertex lies beyond a graph smaller than the group
-                got = None
+            w = encode_vertex(gp, GroupElement(0, gv, gp.pd.rho))
+            got = int(at_zero[w]) if w < g.n else None  # None beyond a graph smaller than the group
             pairs.append((gv, want, got))
             if want != got:
                 mismatches.append((gv, want, got))

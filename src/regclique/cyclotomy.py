@@ -4,15 +4,17 @@ For a fixed primitive element rho and n | q-1, the class of index i collects
 the nonzero elements whose discrete log is congruent to i mod n, and the
 cyclotomic number c(a, b) counts elements x of class a with x + 1 of class b.
 The classes are the cosets of the subgroup <rho**n>: class 0 lists the powers
-of rho**n and class i is rho**i times class 0, so no discrete-log table is
-needed. Since rho**n lies in class 0, every cyclotomic number is counted on
-class 0 alone: x = rho**a * y with y in class 0 has x + 1 in class b exactly
-when rho**(n+a-b) * y + rho**(n-b) is in class 0. A context makes class 0
-and its mask once and keeps each c(a, b) it counts, so `cyclotomic_number`
-never makes another class; `cyclotomic_table` (the `cyclotab` command)
-labels every element from all n classes and counts the n**2 numbers in one
-pass.
+of rho**n and class i is rho**i times class 0. Since rho**n lies in class 0,
+every cyclotomic number is counted on class 0 alone, with no discrete-log
+table: x = rho**a * y with y in class 0 has x + 1 in class b exactly when
+rho**(n+a-b) * y + rho**(n-b) is in class 0. A context makes class 0 and its
+mask once and keeps each c(a, b) it counts; no other class is ever made.
+`class_index` and `cyclotomic_table` (the `cyclotab` command) label elements
+by their discrete log mod n instead: the table labels every nonzero element
+at once and counts the n**2 numbers in one pass.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -25,28 +27,19 @@ class CyclotomicContext:
 
     def __init__(self, field: Field, pd: PrimitiveData, n: int):
         self.field, self.pd, self.n = field, pd, n
-        self._cache = {}
+        self._numbers = {}  # (a, b) -> c(a, b), counted on first use
 
-    def coset(self, i: int) -> np.ndarray:
-        """Class i as int64 codes, rho**i * <rho**n> in exponent order; made on first use."""
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"class index {i} not in [0, {self.n})")
-        key = ("coset", i)
-        if key not in self._cache:
-            if i == 0:
-                rho_n = self.field.pow(self.pd.rho, self.n)
-                self._cache[key] = powers(self.field, rho_n, (self.field.q - 1) // self.n)
-            else:
-                self._cache[key] = self.field.mul_array(self.coset(0), self.field.pow(self.pd.rho, i))
-        return self._cache[key]
+    @cached_property
+    def class_zero(self) -> np.ndarray:
+        """Class 0 as int64 codes, the powers of rho**n in exponent order."""
+        return powers(self.field, self.field.pow(self.pd.rho, self.n), (self.field.q - 1) // self.n)
 
+    @cached_property
     def mask(self) -> np.ndarray:
-        """q-entry flags of the members of class 0; made on first use."""
-        if "mask" not in self._cache:
-            flags = np.zeros(self.field.q, dtype=bool)
-            flags[self.coset(0)] = True
-            self._cache["mask"] = flags
-        return self._cache["mask"]
+        """q-entry flags of the members of class 0."""
+        flags = np.zeros(self.field.q, dtype=bool)
+        flags[self.class_zero] = True
+        return flags
 
 
 def make_context(field: Field, pd: PrimitiveData, n: int) -> CyclotomicContext:
@@ -69,24 +62,20 @@ def cyclotomic_number(ctx: CyclotomicContext, a: int, b: int) -> int:
     """
     if not (0 <= a < ctx.n and 0 <= b < ctx.n):
         raise IndexOutOfRange(f"pair ({a}, {b}) not in [0, {ctx.n})^2")
-    key = ("c", a, b)
-    if key not in ctx._cache:
+    if (a, b) not in ctx._numbers:
         field, rho, n = ctx.field, ctx.pd.rho, ctx.n
-        moved = field.mul_add_array(ctx.coset(0), field.pow(rho, n + a - b), field.pow(rho, n - b))
-        ctx._cache[key] = int(np.count_nonzero(ctx.mask()[moved]))
-    return ctx._cache[key]
+        moved = field.mul_add_array(ctx.class_zero, field.pow(rho, n + a - b), field.pow(rho, n - b))
+        ctx._numbers[a, b] = int(np.count_nonzero(ctx.mask[moved]))
+    return ctx._numbers[a, b]
 
 
 def cyclotomic_table(ctx: CyclotomicContext) -> np.ndarray:
     """Full n x n table of cyclotomic numbers, one pass over the nonzero elements."""
-    n, q = ctx.n, ctx.field.q
-    cls = np.empty(q, dtype=np.int64)
-    for i in range(n):
-        cls[ctx.coset(i)] = i
-    xs = np.arange(1, q, dtype=np.int64)
-    shifted = ctx.field.add_array(xs, 1)
+    n = ctx.n
+    cls = ctx.pd.log % n  # the class of each code; zero's (log -1) is never read
+    shifted = ctx.field.add_array(np.arange(1, ctx.field.q, dtype=np.int64), 1)
     keep = shifted != 0
-    return np.bincount(cls[xs[keep]] * n + cls[shifted[keep]], minlength=n * n).reshape(n, n)
+    return np.bincount(cls[1:][keep] * n + cls[shifted[keep]], minlength=n * n).reshape(n, n)
 
 
 def c3_parity_even(ctx: CyclotomicContext) -> bool:

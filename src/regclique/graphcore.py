@@ -94,19 +94,6 @@ class Graph:
             raise SameVertex(f"common neighbours of {u} with itself")
         return int(self.adjacent_counts(self._row(u))[v])
 
-    def pair_counts(self, u: int, adjacent: bool):
-        """(vs, counts): the v > u that are (or are not) adjacent to u, ascending,
-        and |N(u) & N(v)| for each."""
-        row = self._row(u)
-        if adjacent:
-            vs = row[row > u]
-        else:
-            others = np.ones(self.n, dtype=bool)
-            others[: u + 1] = False
-            others[row] = False
-            vs = np.flatnonzero(others)
-        return vs, self.adjacent_counts(row)[vs]
-
     def adjacent_counts(self, vertices) -> np.ndarray:
         """For every vertex w, how many of `vertices` (distinct) are adjacent to w."""
         vertices = np.asarray(vertices, dtype=np.intp)

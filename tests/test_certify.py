@@ -515,6 +515,17 @@ def test_clique_nexus_errors(x1):
             clique_nexus(g, clique)
 
 
+def test_clique_nexus_reports_python_ints(x1):
+    # a spread row is a numpy array; the report and the witness hold plain ints all the same
+    gp, _, _, g = x1
+    report = clique_nexus(g, canonical_spread(gp)[0])
+    assert repr(report.clique) == "(0, 7, 14, 21)"
+    with pytest.raises(NotAClique) as exc:
+        clique_nexus(g, np.array([0, 1, 2, 3]))
+    assert repr(exc.value.witness) == "(0, 1)"
+    assert str(exc.value) == "vertices 0 and 1 are not adjacent"
+
+
 def _assert_nexus_matches_oracle(g, clique, adj):
     attached = naive_attachments(adj, clique)
     differing = [pair for pair in attached if pair[1] != attached[0][1]]
@@ -646,6 +657,22 @@ def test_certificate_x1_passes(x1):
     t, rem = divmod(gp.q - 1, 2 * 1 + 1)
     assert rem == 0
     assert 2 != t + 1
+
+
+def test_certificate_counts_each_question_once(monkeypatch, m3_29):
+    gp, pi, _, g = m3_29
+    calls = []
+    adjacent_counts = Graph.adjacent_counts
+
+    def counted(graph, vertices):
+        calls.append(len(vertices))
+        return adjacent_counts(graph, vertices)
+
+    monkeypatch.setattr(Graph, "adjacent_counts", counted)
+    assert assemble_certificate(gp, pi, "psi1", g).passed
+    # the q spread cliques, the lambda pass, the mu pass and one count of N(0) for every prediction
+    assert len(calls) == gp.q + 3
+    assert calls.count(g.degree(0)) == 3
 
 
 @pytest.mark.parametrize("edit", ["drop_last", "repeat_first"])

@@ -54,10 +54,10 @@ def test_cyclotomic_class(gf7_n3):
 def test_cosets_and_cyclotomic_numbers_match_naive_sets(p, a, n):
     ctx = context(p, a, n)
     classes = [cyclotomic_class(ctx, i) for i in range(n)]
-    for i in range(n):
-        coset = ctx.coset(i).tolist()
-        assert len(coset) == len(classes[i]) and set(coset) == classes[i]
-        assert coset == ctx.pd.exp[i::n].tolist()  # rho**(i + n*k) in the order of k
+    class_zero = ctx.class_zero.tolist()
+    assert len(class_zero) == len(classes[0]) and set(class_zero) == classes[0]
+    assert class_zero == ctx.pd.exp[0::n].tolist()  # rho**(n*k) in the order of k
+    assert np.flatnonzero(ctx.mask).tolist() == sorted(classes[0])
     table = cyclotomic_table(ctx)
     for i in range(n):
         shifted = {ctx.field.add(x, 1) for x in classes[i]}
@@ -88,12 +88,6 @@ def test_memoised_numbers_match_a_fresh_context(p, a, n):
     again = [[cyclotomic_number(ctx, i, j) for j in range(n)] for i in range(n)]
     fresh = [[cyclotomic_number(context(p, a, n), i, j) for j in range(n)] for i in range(n)]
     assert first == again == fresh == cyclotomic_table(ctx).tolist()
-
-
-def test_coset_index_checked(gf7_n3):
-    for i in (-1, 3):
-        with pytest.raises(IndexOutOfRange):
-            gf7_n3.coset(i)
 
 
 def test_cyclotomic_numbers_gf7(gf7_n3):
