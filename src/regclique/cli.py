@@ -5,11 +5,16 @@ Exit codes: 0 on success (including a passing certificate), 1 for a failing
 certificate, 2 for usage or parameter errors (an unwritable --out among
 them). All output is deterministic: identical flags produce byte-identical
 results.
+
+`main(argv)` may be called many times in one process: it returns the exit
+code, and usage errors raise `SystemExit(2)`. The parser is built on the
+first call and reused.
 """
 
 import argparse
 import sys
 from bisect import bisect_right
+from functools import cache
 
 from .certify import assemble_certificate
 from .construction import (
@@ -77,6 +82,7 @@ def _add_graph_arguments(sp):
     sp.add_argument("--variant", choices=("psi1", "psi2"), help="built-in bijection for m = 3")
 
 
+@cache  # parse_args makes a fresh Namespace per call; the parser holds no state between calls
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regclique",
@@ -163,6 +169,9 @@ def _resolve_pi(parser, args):
     if args.pi is not None:
         try:
             values = tuple(int(s) for s in args.pi.split(","))
+        except ValueError:
+            parser.error(f"pi must be a comma list of integers, got {args.pi!r}")
+        try:
             return validate_bijection(args.m, values), None
         except ValueError as exc:
             parser.error(str(exc))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -88,6 +89,22 @@ def test_certify_rejects_bad_bijection(capsys):
     with pytest.raises(SystemExit) as info:
         main(["certify", "--m", "2", "--q", "7", "--pi", "0,1,1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "pi, message",
+    [
+        ("a,b,c", "pi must be a comma list of integers, got 'a,b,c'"),
+        ("", "pi must be a comma list of integers, got ''"),
+        ("0,1,1", "pi must be a permutation of 0..2, got (0, 1, 1)"),
+    ],
+)
+def test_certify_names_a_bad_pi(capsys, pi, message):
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--m", "2", "--q", "7", "--pi", pi])
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (2, "")
+    assert out.err.splitlines()[-1] == f"regclique: error: {message}"
 
 
 def test_variant_requires_m3(capsys):
@@ -369,7 +386,7 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def _run_cli_limited(*argv, timeout=120):
+def _run_cli_limited(*argv, timeout=120, cwd=None):
     """The CLI in a subprocess limited to 2 GB of address space."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(regclique.__file__).parents[1]), env.get("PYTHONPATH")]))
@@ -380,6 +397,7 @@ def _run_cli_limited(*argv, timeout=120):
         text=True,
         timeout=timeout,
         preexec_fn=_limit_address_space,
+        cwd=cwd,
     )
 
 
@@ -540,3 +558,61 @@ def test_search_refuses_prime_list_beyond_memory():
     assert proc.returncode == 2, proc.stderr
     assert f"listing the prime powers up to {q_max} needs about {need / 1e9:.1f} GB" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_parser_is_built_on_the_first_call_only(monkeypatch, capsys):
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    totals = []
+    for _ in range(2):
+        assert main(["build", "--m", "2", "--q", "7"]) == 0
+        totals.append(built)
+    assert totals == [6, 6]  # the top-level parser and its five subcommands, all in the first call
+    assert capsys.readouterr().out == "N=28 k=9 M=126\n" * 2
+
+
+# a usage error, a failing certificate, then one call of every kind: run one
+# after another in this process, each must match a fresh process byte for byte
+STATELESS_SEQUENCE = [
+    ("certify", "--m", "3", "--q", "29"),
+    ("certify", "--m", "2", "--q", "7", "--l", "2"),
+    ("certify", "--m", "3", "--q", "29", "--variant", "psi1"),
+    ("certify", "--m", "2", "--q", "7"),
+    ("search", "--m", "2", "--q-max", "200"),
+    ("export", "--m", "2", "--q", "7", "--format", "edges", "--out", "graph.txt"),
+    ("cyclotab", "--q", "29", "--n", "7"),
+    ("certify", "--help"),
+]
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_calls_in_one_process_match_fresh_processes(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width; fix it for both sides
+    codes = []
+    for i, argv in enumerate(STATELESS_SEQUENCE):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        proc = _run_cli_limited(*argv, cwd=fresh)
+        assert (code, out.out, out.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert _files(here) == _files(fresh), argv
+        codes.append(code)
+    assert codes == [2, 1, 0, 0, 0, 0, 0, 0]
+    assert json.loads((tmp_path / "here3" / "certificate.json").read_text())["variant"] is None

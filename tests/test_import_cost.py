@@ -2,7 +2,8 @@
 
 Records are NamedTuples or plain classes, whose classes are made about ten
 times faster than dataclasses, and `fractions` is imported only by
-`certify.quotient_matrix`, which no command calls. The probe first imports what
+`certify.quotient_matrix`, which no command calls. The CLI's parser is built
+by the first `cli.main` call, not at import. The probe first imports what
 the package needs from outside it, so only the modules regclique itself adds
 are checked.
 """
@@ -27,7 +28,11 @@ dataclasses = sorted(
     for key, value in vars(module).items()
     if isinstance(value, type) and "__dataclass_fields__" in vars(value)
 )
-print(json.dumps({"loaded": sorted({"dataclasses", "fractions"} & (set(sys.modules) - before)), "dataclasses": dataclasses}))
+print(json.dumps({
+    "loaded": sorted({"dataclasses", "fractions"} & (set(sys.modules) - before)),
+    "dataclasses": dataclasses,
+    "parsers_built": regclique.cli._parser.cache_info().currsize,
+}))
 """
 
 
@@ -36,4 +41,4 @@ def test_import_adds_neither_dataclasses_nor_fractions():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"loaded": [], "dataclasses": []}
+    assert json.loads(proc.stdout) == {"loaded": [], "dataclasses": [], "parsers_built": 0}
