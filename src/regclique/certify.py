@@ -15,7 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construction import GroupElement, GroupParams, encode_vertex, group_generators, validate_bijection
+from .construction import (
+    GroupElement,
+    GroupParams,
+    encode_vertex,
+    field_index_map,
+    graph_size,
+    group_generators,
+    validate_bijection,
+)
 from .cyclotomy import CyclotomicContext, cyclotomic_number, make_context
 from .errors import (
     BadCongruence,
@@ -97,8 +105,7 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
         return _irregularity(g)
     q, vectors = gp.q, 1 << gp.m
     adj = g.row_table
-    fcodes = np.concatenate(([0], gp.pd.exp)).astype(np.int32)  # the code of each field index
-    fidx_of_code = (gp.pd.log + 1).astype(np.int32)  # log[0] = -1, so fidx(0) = 0
+    fcodes, fidx_of_code = field_index_map(gp)
     cols0, fidx0 = np.divmod(adj[0], q)
     bases0, codes0 = cols0 * q, fcodes[fidx0]
     cols = np.sort(cols0)  # the column blocks of every expected row
@@ -132,9 +139,11 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
 def _pair_profile(g: Graph, sources, adjacent: bool) -> dict:
     """count -> the lexicographically smallest pair (u, v), u < v, u in sources
     (ascending; None for every vertex), that is (or is not) an edge with that
-    many common neighbours."""
+    many common neighbours. A source outside [0, n) raises IndexOutOfRange."""
     found = {}
     for u in range(g.n) if sources is None else sources:
+        if not 0 <= u < g.n:
+            raise IndexOutOfRange(f"source {u} not in [0, {g.n})")
         row = g.indices[g.indptr[u] : g.indptr[u + 1]]
         if adjacent:
             vs = row[row > u]
@@ -154,14 +163,17 @@ def check_edge_regular(g: Graph, sources=None):
 
     lambda is the count of the lexicographically first edge; the failure witness
     is the first edge whose count differs from it. With sources=(0,) this
-    decides edge-regularity only for vertex-transitive graphs.
+    decides edge-regularity only for vertex-transitive graphs. Sources that
+    reach no edge (u, v), u < v, raise ValueError unless g is edgeless.
     """
     k = g.is_regular()
     if k is None:
         return _irregularity(g)
     profile = _pair_profile(g, sources, adjacent=True)
+    if k == 0:
+        return ErgParams(n=g.n, k=k, lam=0)  # edgeless: the condition is vacuous
     if not profile:
-        return ErgParams(n=g.n, k=k, lam=0)  # edgeless regular graph: the condition is vacuous
+        raise ValueError(f"the sources {sources} reach no edge (u, v) with u < v")
     lam, first_edge = min(profile.items(), key=lambda item: item[1])
     deviant = [(pair, count) for count, pair in profile.items() if count != lam]
     if deviant:
@@ -187,8 +199,10 @@ def _srg_scan(g: Graph, erg, sources) -> SrgScan:
     mu_values = tuple(sorted(found))
     if isinstance(erg, Failure) or len(found) > 1:
         return SrgScan("NotSRG", None, mu_values, witnesses)
-    if not found:
+    if erg.k == g.n - 1:
         return SrgScan("Complete", None, (), ())
+    if not found:
+        raise ValueError(f"the sources {sources} reach no non-edge (u, v) with u < v")
     mu = mu_values[0]
     disc = sqrt((erg.lam - mu) ** 2 + 4 * (erg.k - mu))
     theta1 = ((erg.lam - mu) + disc) / 2
@@ -203,6 +217,7 @@ def check_strongly_regular(g: Graph, erg: ErgParams | None = None, sources=None)
     `erg` is the graph's edge-regularity result when the caller already has it;
     without it the lambda pass runs here over the same sources. With
     sources=(0,) the scan is conclusive only for vertex-transitive graphs.
+    Sources that reach no non-edge (u, v), u < v, raise ValueError unless g is complete.
     """
     if erg is None:
         erg = check_edge_regular(g, sources)
@@ -433,8 +448,8 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
     def record(name, ok, detail):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
-    size = (1 << gp.m) * gp.l
-    expected = ErgParams(n=gp.n_vertices, k=size - 2 + gp.q, lam=size - 2)
+    size = (1 << gp.m) * gp.l  # the order of each clique of the spread
+    expected = ErgParams(*graph_size(gp.l, gp.m, gp.q))
     sources = (0,)
 
     # 0. the generating translations are automorphisms

@@ -46,7 +46,7 @@ MAX_ORDER_BITS = 7140
 def _write_edge_lines(g: Graph, fh, prefix: str, base: int) -> None:
     """One `{prefix}u v` line per edge u < v (numbered from base), lexicographically ascending.
 
-    Lines are written a row at a time, so memory stays bounded by one row.
+    Lines are written a row at a time; memory holds one row and the N vertex names.
     """
     names = [str(v + base) for v in range(g.n)]
     for u in range(g.n):
@@ -225,7 +225,7 @@ def _cmd_search(parser, args) -> int:
 
 def _cmd_build(parser, args) -> int:
     p, a, _, _ = _resolve_construction(parser, args)
-    n, k = graph_size(args.l, args.m, p**a)
+    n, k, _ = graph_size(args.l, args.m, p**a)
     print(f"N={n} k={k} M={n * k // 2}")
     return 0
 

@@ -44,7 +44,12 @@ class GroupParams(NamedTuple):
 
     @property
     def n_vertices(self) -> int:
-        return (1 << self.m) * self.l * self.q
+        return graph_size(self.l, self.m, self.q)[0]
+
+    def check_element(self, e: GroupElement) -> None:
+        if not (0 <= e.z < self.l and 0 <= e.v < (1 << self.m)):
+            raise IndexOutOfRange(f"{e} outside Z_{self.l} + Z_2^{self.m}")
+        self.field.check_element(e.f)
 
     def neg(self, e: GroupElement) -> GroupElement:
         return GroupElement(-e.z % self.l, e.v, self.field.neg(e.f))
@@ -125,62 +130,32 @@ def validate_bijection(m: int, pi) -> tuple:
 # connection set and graph
 
 
-class GeneratingSet(NamedTuple):
-    """The connection set: s0 plus one slice per nonzero bit-vector."""
-
-    s0: tuple
-    by_vector: dict
-    elements: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def ordered(self) -> list:
-        out = list(self.s0)
-        for v in sorted(self.by_vector):
-            out.extend(self.by_vector[v])
-        return out
-
-
-def generating_set(gp: GroupParams, pi) -> GeneratingSet:
-    """s0 = all (z, v, 0) with (z, v) nonzero; slice v = {(0, v, rho^j) : j = pi(v) mod n}."""
+def generating_set(gp: GroupParams, pi) -> tuple:
+    """The connection set as a tuple: s0 = every (z, v, 0) with (z, v) nonzero, ascending in (z, v),
+    then each slice v = (0, v, rho^j) for j = pi(v) mod n, ascending in v and j."""
     pi = validate_bijection(gp.m, pi)
     n = (1 << gp.m) - 1
-    s0 = tuple(
-        GroupElement(z, v, 0)
-        for z in range(gp.l)
-        for v in range(1 << gp.m)
-        if (z, v) != (0, 0)
-    )
-    by_vector = {}
-    for v in range(1, 1 << gp.m):
-        by_vector[v] = tuple(
-            GroupElement(0, v, int(gp.pd.exp[j])) for j in range(pi[v - 1], gp.q - 1, n)
-        )
-    elements = frozenset(s0).union(*by_vector.values())
-    return GeneratingSet(s0=s0, by_vector=by_vector, elements=elements)
+    s0 = [GroupElement(z, v, 0) for z in range(gp.l) for v in range(1 << gp.m) if (z, v) != (0, 0)]
+    slices = [GroupElement(0, v, f) for v in range(1, 1 << gp.m) for f in gp.pd.exp[pi[v - 1] :: n].tolist()]
+    return tuple(s0 + slices)
 
 
-def symmetry_witness(gp: GroupParams, s: GeneratingSet):
-    """An element whose negative is missing from the set, or None if symmetric."""
-    for e in s.ordered():
-        if gp.neg(e) not in s.elements:
-            return e
-    return None
+def symmetry_witness(gp: GroupParams, s: tuple):
+    """The first element of s whose negative is missing from s, or None if s is symmetric."""
+    members = set(s)
+    return next((e for e in s if gp.neg(e) not in members), None)
 
 
 def encode_vertex(gp: GroupParams, e: GroupElement) -> int:
-    if not (0 <= e.z < gp.l and 0 <= e.v < (1 << gp.m)):
-        raise IndexOutOfRange(f"{e} outside Z_{gp.l} + Z_2^{gp.m}")
-    gp.field.check_element(e.f)
+    gp.check_element(e)
     fidx = 0 if e.f == 0 else dlog(gp.pd, e.f) + 1
     return e.z * ((1 << gp.m) * gp.q) + e.v * gp.q + fidx
 
 
 def graph_size(l: int, m: int, q: int) -> tuple:
-    """(N, k) on Z_l + Z_2^m + F_q: k counts the l * 2^m - 1 elements (z, v, 0) and q - 1 more."""
-    return l * (1 << m) * q, l * (1 << m) + q - 2
+    """(N, k, lambda) on Z_l + Z_2^m + F_q: k counts the l * 2^m - 1 elements (z, v, 0) and q - 1 more."""
+    size = l * (1 << m)
+    return size * q, size + q - 2, size - 2
 
 
 def check_footprint(n: int, k: int) -> None:
@@ -196,7 +171,7 @@ def check_graph_fits(l: int, m: int, q: int) -> None:
 
     It needs no field tables, so callers can run it before building them.
     """
-    check_footprint(*graph_size(l, m, q))
+    check_footprint(*graph_size(l, m, q)[:2])
 
 
 def group_generators(gp: GroupParams) -> list:
@@ -207,10 +182,16 @@ def group_generators(gp: GroupParams) -> list:
     return cyclic + vectors + [GroupElement(0, 0, gp.field.p**i) for i in range(gp.field.a)]
 
 
+def field_index_map(gp: GroupParams) -> tuple:
+    """(fcodes, fidx_of_code): the code of each field index and the field index of each code
+    (log[0] = -1, so fidx(0) = 0), as int32."""
+    return np.concatenate(([0], gp.pd.exp)).astype(np.int32), (gp.pd.log + 1).astype(np.int32)
+
+
 def field_shift(gp: GroupParams):
-    """The map f -> (fidx(x + f) for every field index of x), as an int64 array of q entries."""
-    fcodes = np.concatenate(([0], gp.pd.exp))  # the code of each field index
-    fidx_of_code = gp.pd.log + 1  # log[0] = -1, so fidx(0) = 0
+    """The map f -> (fidx(x + f) for every field index of x), as an int32 array of q entries."""
+    fcodes, fidx_of_code = field_index_map(gp)
+    fcodes = fcodes.astype(np.intp)  # so the sums index fidx_of_code without a cast on every call
 
     def shift(f: int) -> np.ndarray:
         return fidx_of_code[gp.field.add_array(fcodes, f)]
@@ -218,8 +199,9 @@ def field_shift(gp: GroupParams):
     return shift
 
 
-def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
-    """Graph on the n_vertices group elements with u ~ w iff w - u in the set.
+def build_cayley_graph(gp: GroupParams, s: tuple) -> Graph:
+    """Graph on the n_vertices group elements with u ~ w iff w - u in the set s, a tuple of
+    distinct elements of the group (else IndexOutOfRange or ValueError) closed under negation.
 
     The vertex index is block * q + fidx(f), with block = z * 2^m + v. The
     elements of the set whose (z, v) part is block d join block b to block
@@ -229,16 +211,19 @@ def build_cayley_graph(gp: GroupParams, s: GeneratingSet) -> Graph:
     the same columns in ascending order of target block b + d, so every row
     comes out sorted and the N·k array is the only large one.
     """
+    vectors = 1 << gp.m
+    parts = {}
+    for e in s:
+        gp.check_element(e)
+        parts.setdefault(e.z * vectors + e.v, []).append(e.f)
+    if len(set(s)) != len(s):
+        raise ValueError("the connection set repeats an element")
     witness = symmetry_witness(gp, s)
     if witness is not None:
         raise AsymmetricGeneratingSet(witness)
 
-    n, q, k = gp.n_vertices, gp.q, s.size
+    n, q, k = gp.n_vertices, gp.q, len(s)
     check_footprint(n, k)
-    vectors = 1 << gp.m
-    parts = {}
-    for e in s.elements:
-        parts.setdefault(e.z * vectors + e.v, []).append(e.f)
     shift = field_shift(gp)
     nbrs = np.empty((n, k), dtype=np.int32)
     first = nbrs[:q]

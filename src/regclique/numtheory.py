@@ -9,6 +9,7 @@ So search output is reproducible bit for bit.
 from math import gcd, isqrt, log, log2
 from typing import NamedTuple
 
+from .construction import graph_size
 from .cyclotomy import make_context, cyclotomic_number
 from .errors import NotCoprime, SearchTooLarge, require_memory
 from .fields import build_field, factorize, find_primitive_element, is_prime
@@ -175,6 +176,15 @@ class SearchRecordM3(NamedTuple):
         )
 
 
+def _fields(q_max: int, n: int):
+    """(p, a, q, pd, ctx) per field GF(q), q <= q_max, q = 1 mod 2n: its pinned primitive element and n classes."""
+    for q, p, a in prime_powers(q_max):
+        if q % (2 * n) == 1:
+            field = build_field(p, a)
+            pd = find_primitive_element(field)
+            yield p, a, q, pd, make_context(field, pd, n)
+
+
 def search_m2(q_max: int) -> list:
     """All prime powers q <= q_max, q = 1 mod 6, whose c(1, 2) is odd.
 
@@ -182,12 +192,7 @@ def search_m2(q_max: int) -> list:
     cross-checked (it implies oddness but is not necessary for it).
     """
     records = []
-    for q, p, a in prime_powers(q_max):
-        if q % 6 != 1:
-            continue
-        field = build_field(p, a)
-        pd = find_primitive_element(field)
-        ctx = make_context(field, pd, 3)
+    for p, a, q, _, ctx in _fields(q_max, 3):
         c = cyclotomic_number(ctx, 1, 2)
         n, e = order_profile(p)
         guaranteed = e > 1 and a % e != 0
@@ -195,21 +200,7 @@ def search_m2(q_max: int) -> list:
             raise AssertionError(f"parity condition violated at q={q}: c={c}")
         if c % 2 == 1:
             l = (c + 1) // 2
-            records.append(
-                SearchRecordM2(
-                    p=p,
-                    a=a,
-                    q=q,
-                    ord2_n=n,
-                    exp_order_e=e,
-                    c=c,
-                    l=l,
-                    n_vertices=4 * l * q,
-                    k=4 * l - 2 + q,
-                    lam=4 * l - 2,
-                    odd_guaranteed=guaranteed,
-                )
-            )
+            records.append(SearchRecordM2(p, a, q, n, e, c, l, *graph_size(l, 2, q), odd_guaranteed=guaranteed))
     return records
 
 
@@ -220,32 +211,11 @@ def search_m3(q_max: int) -> list:
     primitive element of each field.
     """
     records = []
-    for q, p, a in prime_powers(q_max):
-        if q % 14 != 1:
-            continue
-        field = build_field(p, a)
-        pd = find_primitive_element(field)
-        ctx = make_context(field, pd, 7)
+    for p, a, q, pd, ctx in _fields(q_max, 7):
         c15 = cyclotomic_number(ctx, 1, 5)
         c13 = cyclotomic_number(ctx, 1, 3)
         for variant, c in (("psi1", c15), ("psi2", c13)):
-            if c % 4 != 1:
-                continue
-            l = (3 * c + 1) // 4
-            records.append(
-                SearchRecordM3(
-                    p=p,
-                    a=a,
-                    q=q,
-                    rho=pd.rho,
-                    c15=c15,
-                    c13=c13,
-                    variant=variant,
-                    c=c,
-                    l=l,
-                    n_vertices=8 * l * q,
-                    k=8 * l - 2 + q,
-                    lam=8 * l - 2,
-                )
-            )
+            if c % 4 == 1:
+                l = (3 * c + 1) // 4
+                records.append(SearchRecordM3(p, a, q, pd.rho, c15, c13, variant, c, l, *graph_size(l, 3, q)))
     return records

@@ -218,14 +218,13 @@ def translator(gp):
 
 
 def naive_cayley_graph(gp, s):
-    """Cay(G, S) by translating every vertex by each element of S, then sorting each row."""
-    generators = s.ordered()
+    """Cay(G, S) by translating every vertex by each element of the tuple s, then sorting each row."""
     translate = translator(gp)
-    nbrs = np.empty((gp.n_vertices, len(generators)), dtype=np.int32)
-    for j, e in enumerate(generators):
+    nbrs = np.empty((gp.n_vertices, len(s)), dtype=np.int32)
+    for j, e in enumerate(s):
         nbrs[:, j] = translate(e)
     nbrs.sort(axis=1)
-    return Graph(np.arange(0, nbrs.size + 1, len(generators)), nbrs.ravel(), validate=False)
+    return Graph(np.arange(0, nbrs.size + 1, len(s)), nbrs.ravel(), validate=False)
 
 
 def naive_translation_failure(gp, graph):

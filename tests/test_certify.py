@@ -125,6 +125,37 @@ def test_strongly_regular_requires_edge_regular():
         check_strongly_regular(star)
 
 
+@pytest.mark.parametrize("source", [-1, 28])
+def test_scans_refuse_a_source_outside_the_graph(x1, source):
+    _, _, _, g = x1
+    erg = check_edge_regular(g, (0,))
+    with pytest.raises(IndexOutOfRange, match=f"source {source} not in"):
+        check_edge_regular(g, (source,))
+    with pytest.raises(IndexOutOfRange, match=f"source {source} not in"):
+        check_strongly_regular(g, None, (source,))
+    with pytest.raises(IndexOutOfRange, match=f"source {source} not in"):
+        check_strongly_regular(g, erg, (source,))
+
+
+def test_scans_refuse_sources_that_reach_no_pair(x1):
+    # vertex 27, the last of x1, has neither a higher neighbour nor a higher non-neighbour
+    _, _, _, g = x1
+    erg = check_edge_regular(g, (0,))
+    for sources in ((27,), ()):
+        with pytest.raises(ValueError, match="reach no edge"):
+            check_edge_regular(g, sources)
+        with pytest.raises(ValueError, match="reach no non-edge"):
+            check_strongly_regular(g, erg, sources)
+
+
+def test_complete_and_edgeless_verdicts_come_from_the_degree():
+    # from the last vertex, which reaches no pair (u, v) with u < v
+    k5 = Graph.from_edges(*complete_edges(5))
+    assert check_strongly_regular(k5, check_edge_regular(k5), (4,)) == ("Complete", None, (), ())
+    edgeless = Graph.from_edges(4, [])
+    assert check_edge_regular(edgeless, (3,)) == ErgParams(4, 0, 0)
+
+
 def test_strongly_regular_reuses_given_lambda_pass(petersen):
     erg = check_edge_regular(petersen)
     assert check_strongly_regular(petersen, erg=erg) == check_strongly_regular(petersen)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regclique.construction import (
-    GeneratingSet,
     GroupElement,
     build_cayley_graph,
     default_pi,
@@ -28,6 +27,7 @@ from regclique.construction import (
     validate_bijection,
     weight,
 )
+from regclique.certify import Failure, check_edge_regular
 from regclique.cyclotomy import cyclotomic_table, make_context
 from regclique.errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVector
 from regclique.fields import build_field, dlog, find_primitive_element
@@ -91,10 +91,26 @@ def test_validate_bijection():
 def test_generating_set_sizes():
     gp = group(1, 2, 7)
     s = generating_set(gp, (0, 1, 2))
-    assert len(s.s0) == 3  # 2^m * l - 1
-    assert all(len(s.by_vector[v]) == 2 for v in (1, 2, 3))  # (q-1)/3
-    assert s.size == 9  # 2^m * l - 2 + q
-    assert GroupElement(0, 0, 0) not in s.elements
+    assert len([e for e in s if e.f == 0]) == 3  # s0: 2^m * l - 1
+    assert all(len([e for e in s if e.f and e.v == v]) == 2 for v in (1, 2, 3))  # (q-1)/3
+    assert len(s) == 9  # 2^m * l - 2 + q
+    assert GroupElement(0, 0, 0) not in s
+
+
+def test_generating_set_order():
+    gp = group(1, 2, 7)  # rho = 3: rho^j = 1, 3, 2, 6, 4, 5 for j = 0..5
+    assert generating_set(gp, (0, 1, 2)) == (
+        *((0, 1, 0), (0, 2, 0), (0, 3, 0)),  # s0
+        *((0, 1, 1), (0, 1, 6)),  # slice v = 1: j = 0, 3
+        *((0, 2, 3), (0, 2, 4)),  # slice v = 2: j = 1, 4
+        *((0, 3, 2), (0, 3, 5)),  # slice v = 3: j = 2, 5
+    )
+    # with a cyclic factor, s0 is ascending in (z, v); each slice ascending in j
+    gp, pi = group(3, 2, 13), (2, 0, 1)
+    s = generating_set(gp, pi)
+    s0, slices = s[:11], s[11:]
+    assert s0 == tuple(GroupElement(z, v, 0) for z in range(3) for v in range(4) if (z, v) != (0, 0))
+    assert [(e.z, e.v, dlog(gp.pd, e.f)) for e in slices] == [(0, v, j) for v in (1, 2, 3) for j in range(pi[v - 1], 12, 3)]
 
 
 def test_generating_set_symmetric_for_q7():
@@ -107,8 +123,10 @@ def test_generating_set_asymmetric_for_q5():
     gp = group(1, 2, 5)
     s = generating_set(gp, (0, 1, 2))
     witness = symmetry_witness(gp, s)
-    assert witness is not None
-    assert gp.neg(witness) not in s.elements
+    # the first element, in the set's order, whose negative is missing; later ones miss theirs too
+    assert witness == next(e for e in s if gp.neg(e) not in s) == GroupElement(0, 1, 1)
+    assert gp.neg(witness) not in s
+    assert sum(gp.neg(e) not in s for e in s) > 1
     with pytest.raises(AsymmetricGeneratingSet):
         build_cayley_graph(gp, s)
 
@@ -150,7 +168,7 @@ def test_x1_graph_shape(x1):
     assert graph.is_regular() == 9
     assert graph.m == 126
     s = generating_set(gp, pi)
-    expected = sorted(encode_vertex(gp, e) for e in s.ordered())
+    expected = sorted(encode_vertex(gp, e) for e in s)
     assert list(graph.neighbours(0)) == expected
 
 
@@ -161,7 +179,7 @@ def test_graph_adjacency_matches_group_difference(x1):
         eu = decode_vertex(gp, u)
         for w in range(graph.n):
             diff = group_add(gp, decode_vertex(gp, w), gp.neg(eu))
-            assert graph.has_edge(u, w) == (diff in s.elements)
+            assert graph.has_edge(u, w) == (diff in s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,7 +270,34 @@ def test_build_matches_naive_on_benchmark_instances(l, m, p, a, pi):
 @pytest.mark.parametrize("l,m,p,a,pi", BUILD_CASES)
 def test_graph_size_counts_the_connection_set(l, m, p, a, pi):
     gp = group(l, m, p, a)
-    assert graph_size(l, m, gp.q) == (gp.n_vertices, generating_set(gp, pi).size)
+    s = generating_set(gp, pi)
+    n, k, lam = graph_size(l, m, gp.q)
+    assert (n, k) == (gp.n_vertices, len(s))
+    # a Cayley graph is vertex-transitive, so the edges at vertex 0 give its lambda
+    erg = check_edge_regular(build_cayley_graph(gp, s), (0,))
+    if (l, m, p, a, pi) in BUILD_CASES[-2:]:  # l is not the one the field's cyclotomic number gives
+        assert isinstance(erg, Failure)
+    else:
+        assert erg.lam == lam
+
+
+def test_build_refuses_elements_outside_the_group():
+    gp = group(1, 2, 7)
+    # 7 is no element code of GF(7), but neg sends it to 0, so the set looks symmetric
+    s = (GroupElement(0, 1, 7), GroupElement(0, 1, 0))
+    assert symmetry_witness(gp, s) is None
+    with pytest.raises(IndexOutOfRange, match="7 is not an element code of GF"):
+        build_cayley_graph(gp, s)
+    for e in (GroupElement(1, 1, 0), GroupElement(-1, 1, 0), GroupElement(0, 4, 0), GroupElement(0, 1, -1)):
+        with pytest.raises(IndexOutOfRange):
+            build_cayley_graph(gp, (e,))
+
+
+def test_build_refuses_a_repeated_element():
+    gp = group(1, 2, 7)
+    s = generating_set(gp, (0, 1, 2))
+    with pytest.raises(ValueError, match="repeats an element"):
+        build_cayley_graph(gp, s + s[-1:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,8 +330,7 @@ def test_build_matches_naive_on_any_symmetric_set(l, m, pa, data):
     picked = data.draw(st.sets(st.integers(1, gp.n_vertices - 1), min_size=1, max_size=20))
     elements = {decode_vertex(gp, i) for i in picked}
     elements |= {gp.neg(e) for e in elements}
-    s = GeneratingSet(s0=tuple(sorted(elements)), by_vector={}, elements=frozenset(elements))
-    _assert_build_matches_naive(gp, s)
+    _assert_build_matches_naive(gp, tuple(sorted(elements)))
 
 
 def test_m3_graph_shape(m3_29):
