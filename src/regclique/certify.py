@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import (
+    BLOCK_BYTES,
     GroupElement,
     GroupParams,
     encode_vertex,
@@ -36,16 +37,6 @@ from .errors import (
     WrongN,
 )
 from .graphcore import Graph
-
-# bound on the bytes of one int32 array of a chunk of block-0 rows in
-# check_translations, which holds two such at once besides a bool compare:
-# the field codes `Field.add_array` sums and the expected rows gathered from
-# them, then the expected rows and their image under a block element. A
-# Cayley graph of the construction has k >= q, so even a chunk of all q rows
-# of block 0 holds no more entries than the k^2 that the mu scan from vertex 0
-# gathers
-BLOCK_BYTES = 1 << 18
-
 
 class ErgParams(NamedTuple):
     n: int
@@ -84,14 +75,22 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
     is iff row(u) == sort(u + row(0)) for every vertex u, which is what this
     checks. Vertex u = b * q + i is (0, 0, f_i), f_i the field element of
     index i, moved by the block element b = z * 2^m + v, that is (z, v, 0);
-    so u + row(0) is tau_b(f_i + row(0)). For each chunk of field indices i:
+    so u + row(0) is tau_b(f_i + row(0)). First the 2^m blocks (0, v), for
+    each chunk of field indices i:
 
     - the expected rows of block 0 are row 0's field codes plus f_i, gathered
       back to field indices within row 0's column blocks, then sorted;
-    - each of them holds the column blocks of row 0 in ascending order. tau_b
+    - each of them holds the column blocks of row 0 in ascending order. tau_v
       keeps each entry's field index and moves its block, so one column order
       sorts the images of all of them: the columns stably ordered by target
-      block. The images are compared with the rows of block b, b = 0 first.
+      block. The images are compared with the rows of block (0, v), v = 0 first.
+
+    Then every block (z, v), z >= 1, against the rows of (0, v) the first
+    step verified: tau_z adds z to the cyclic part of every target block, so
+    it rotates the sorted row, bringing the last t_z columns, those whose
+    block in row 0 has cyclic part at least l - z, to the front, and adds
+    z * 2^m * q, less N on the wrapped columns. t_z is read from row 0, not
+    from the build, and the blocks are compared in ascending vertex order.
 
     A failure's witness is (e, 0), with e the element that moves 0 to the
     smallest vertex u whose row differs. Rows are read in chunks of
@@ -118,17 +117,36 @@ def check_translations(gp: GroupParams, g: Graph) -> Failure | None:
         expected = fidx_of_code[gp.field.add_array(np.broadcast_to(codes0, (r1 - r0, k)), fcodes[r0:r1, None])]
         expected += bases0
         expected.sort(axis=1)
-        for b in range(gp.l * vectors):
-            if b * q + r0 >= first:
+        for v in range(vectors):
+            if v * q + r0 >= first:
                 break
-            target = (cz + b // vectors) % gp.l * vectors + (cv ^ b % vectors)
+            target = cz * vectors + (cv ^ v)
             order = np.argsort(target, kind="stable")
             image = expected[:, order]
             image += ((target - cols) * q)[order]
-            rows = adj[b * q + r0 : b * q + r1]
+            rows = adj[v * q + r0 : v * q + r1]
             if not np.array_equal(image, rows):
-                first = b * q + r0 + int(np.flatnonzero((image != rows).any(axis=1))[0])
+                first = v * q + r0 + int(np.flatnonzero((image != rows).any(axis=1))[0])
             del image  # before the next one is gathered
+    if first == g.n:
+        del expected  # before the rotations are written
+        size = vectors * q
+        base = adj[:size]  # the blocks (0, v), now verified
+        buffer = np.empty((min(step, size), k), dtype=np.int32)
+        for z in range(1, gp.l):
+            t = int(np.count_nonzero(cz >= gp.l - z))
+            shift = z * size
+            for r0 in range(0, size, step):
+                image = buffer[: min(step, size - r0)]
+                r1 = r0 + len(image)
+                np.add(base[r0:r1, k - t :], shift - g.n, out=image[:, :t])
+                np.add(base[r0:r1, : k - t], shift, out=image[:, t:])
+                rows = adj[shift + r0 : shift + r1]
+                if not np.array_equal(image, rows):
+                    first = shift + r0 + int(np.flatnonzero((image != rows).any(axis=1))[0])
+                    break
+            if first < g.n:
+                break
     if first == g.n:
         return None
     z, v = divmod(first // q, vectors)
@@ -244,14 +262,21 @@ def canonical_spread(gp: GroupParams) -> np.ndarray:
 
 
 def clique_nexus(g: Graph, clique) -> CliqueReport:
-    """Verify pairwise adjacency, then count outside attachments."""
-    clique = tuple(sorted({int(v) for v in clique}))
-    if len(clique) < 2:
+    """Verify pairwise adjacency, then count outside attachments.
+
+    `clique` is any iterable of vertices; repeats count once. Its members
+    are sorted with numpy unless they already ascend strictly, as a row of
+    `canonical_spread` does. The report and every witness hold Python ints.
+    """
+    members = np.asarray(clique, dtype=np.intp) if isinstance(clique, np.ndarray) else np.fromiter(clique, np.intp)
+    if not (members[1:] > members[:-1]).all():
+        members = np.unique(members)
+    if len(members) < 2:
         raise ValueError("a clique report needs at least two vertices")
-    members = np.array(clique)
     counts = g.adjacent_counts(members)  # raises IndexOutOfRange at the smallest vertex outside [0, n)
-    if len(clique) == g.n:
+    if len(members) == g.n:
         raise NoOutsideVertices("the clique covers every vertex")
+    clique = tuple(members.tolist())
     short = np.flatnonzero(counts[members] != len(clique) - 1)
     if short.size:
         u = clique[short[0]]
@@ -484,7 +509,7 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
     spread_detail = f"{len(spread)} cliques"
     for clique in spread:
         try:
-            report = clique_nexus(g, clique.tolist())  # Python ints, so a NotAClique witness prints as plain integers
+            report = clique_nexus(g, clique)
         except NotAClique as exc:
             spread_ok = False
             spread_detail = f"not a clique: witness non-edge {exc.witness}"

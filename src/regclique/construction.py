@@ -23,6 +23,15 @@ from .graphcore import Graph
 # vertex, the spread's int64 vertex array
 VERTEX_BYTES = 192
 
+# bound on the bytes of one int32 array of a chunk of rows that the build and
+# the translation check fill or compare at a time. The build holds up to three
+# such while it fills block 0 (the field-code sums, a second digit array in an
+# extension field, the field indices gathered from them), the check two
+# besides a bool compare. A Cayley graph of the construction has k >= q, so
+# even a chunk of all q rows of a block holds no more entries than the k^2
+# that the mu scan from vertex 0 gathers
+BLOCK_BYTES = 1 << 18
+
 
 class GroupElement(NamedTuple):
     z: int  # residue mod l
@@ -188,17 +197,6 @@ def field_index_map(gp: GroupParams) -> tuple:
     return np.concatenate(([0], gp.pd.exp)).astype(np.int32), (gp.pd.log + 1).astype(np.int32)
 
 
-def field_shift(gp: GroupParams):
-    """The map f -> (fidx(x + f) for every field index of x), as an int32 array of q entries."""
-    fcodes, fidx_of_code = field_index_map(gp)
-    fcodes = fcodes.astype(np.intp)  # so the sums index fidx_of_code without a cast on every call
-
-    def shift(f: int) -> np.ndarray:
-        return fidx_of_code[gp.field.add_array(fcodes, f)]
-
-    return shift
-
-
 def build_cayley_graph(gp: GroupParams, s: tuple) -> Graph:
     """Graph on the n_vertices group elements with u ~ w iff w - u in the set s, a tuple of
     distinct elements of the group (else IndexOutOfRange or ValueError) closed under negation.
@@ -207,9 +205,14 @@ def build_cayley_graph(gp: GroupParams, s: tuple) -> Graph:
     elements of the set whose (z, v) part is block d join block b to block
     b + d, field index i to the fidx(f + s) of their field parts s: one
     (q, w_d) table of sorted field indices per d. The rows of block 0 are these
-    tables plus d * q, side by side in ascending d. The rows of block b take
-    the same columns in ascending order of target block b + d, so every row
-    comes out sorted and the N·k array is the only large one.
+    tables plus d * q, side by side in ascending d, filled BLOCK_BYTES of rows
+    at a time. The rows of block (0, v) take the same columns in ascending
+    order of target block v + d, so every row comes out sorted. Translation by
+    (z, 0, 0) adds z to every target block's cyclic part and so rotates the
+    rows of (0, v): the last t_z columns, those whose cyclic part c_z is at
+    least l - z, wrap round to the front. Each block (z, v) with z >= 1 is
+    that rotation plus z * 2^m * q, less N on the wrapped columns, written as
+    two slice sums; the N·k array is the only large one.
     """
     vectors = 1 << gp.m
     parts = {}
@@ -224,26 +227,38 @@ def build_cayley_graph(gp: GroupParams, s: tuple) -> Graph:
 
     n, q, k = gp.n_vertices, gp.q, len(s)
     check_footprint(n, k)
-    shift = field_shift(gp)
+    fcodes, fidx_of_code = field_index_map(gp)
+    blocks = sorted(parts)
+    widths = [len(parts[d]) for d in blocks]
+    col_block = np.repeat(blocks, widths)
+    col_f = np.array([f for d in blocks for f in parts[d]], dtype=np.int32)
+    col_base = (col_block * q).astype(np.int32)
+    starts = np.cumsum([0] + widths[:-1])
+    wide = [(j, j + w) for j, w in zip(starts.tolist(), widths) if w > 1]
     nbrs = np.empty((n, k), dtype=np.int32)
     first = nbrs[:q]
-    col_block = np.empty(k, dtype=np.int64)
-    j = 0
-    for d in sorted(parts):
-        cols = first[:, j : j + len(parts[d])]
-        for c, f in enumerate(parts[d]):  # one column at a time keeps temporaries at q entries
-            cols[:, c] = shift(f)
-        cols.sort(axis=1)
-        cols += d * q
-        col_block[j : j + len(parts[d])] = d
-        j += len(parts[d])
+    step = max(1, BLOCK_BYTES // (4 * k))
+    for r0 in range(0, q, step):
+        rows = first[r0 : r0 + step]
+        rows[:] = fidx_of_code[gp.field.add_array(np.broadcast_to(col_f, rows.shape), fcodes[r0 : r0 + step, None])]
+        for j0, j1 in wide:
+            rows[:, j0:j1].sort(axis=1)
+        rows += col_base
 
     col_z, col_v = np.divmod(col_block, vectors)
-    for b in range(1, gp.l * vectors):
-        z, v = divmod(b, vectors)
-        target = (z + col_z) % gp.l * vectors + (v ^ col_v)
+    for v in range(1, vectors):
+        target = col_z * vectors + (v ^ col_v)
         order = np.argsort(target, kind="stable")
-        rows = nbrs[b * q : (b + 1) * q]
-        np.take(first, order, axis=1, out=rows)
+        rows = nbrs[v * q : (v + 1) * q]
+        np.take(first, order, axis=1, out=rows, mode="clip")  # "raise" would buffer a copy of the block
         rows += ((target - col_block)[order] * q).astype(np.int32)
+
+    size = vectors * q
+    base = nbrs[:size]  # the blocks (0, v)
+    for z in range(1, gp.l):
+        t = k - int(np.searchsorted(col_z, gp.l - z))  # col_z ascends
+        shift = z * size
+        rows = nbrs[shift : shift + size]
+        np.add(base[:, k - t :], shift - n, out=rows[:, :t])
+        np.add(base[:, : k - t], shift, out=rows[:, t:])
     return Graph(np.arange(0, n * k + 1, k), nbrs.ravel(), validate=False)

@@ -15,6 +15,13 @@ def memory_limit() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
+def _gigabytes(n: int) -> str:
+    """n bytes in GB to one decimal, rounded half up in integer arithmetic, so an estimate
+    too large for a float (an order of thousands of bits) prints all the same."""
+    tenths = (n + 50_000_000) // 100_000_000
+    return f"{tenths // 10}.{tenths % 10}"
+
+
 def require_memory(need: int, error: type, subject: str, use: str = "") -> None:
     """Raise error when need bytes exceed memory_limit().
 
@@ -24,8 +31,8 @@ def require_memory(need: int, error: type, subject: str, use: str = "") -> None:
     limit = memory_limit()
     if need > limit:
         raise error(
-            f"{subject} about {need / 1e9:.1f} GB{use}, "
-            f"more than half of the {2 * limit / 1e9:.1f} GB of physical memory"
+            f"{subject} about {_gigabytes(need)} GB{use}, "
+            f"more than half of the {_gigabytes(2 * limit)} GB of physical memory"
         )
 
 

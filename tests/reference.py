@@ -2,10 +2,11 @@
 
 Everything here is deliberately written as plain loops (over adjacency sets,
 or one scalar field multiplication at a time), with no shared code with the
-package kernels. The exception is `translator`, which decodes every vertex
+package kernels. The exceptions are `translator`, which decodes every vertex
 into arrays and adds through `Field.add_array`, the group's addition that the
-build, `construction.field_shift` and the translation check use too; it is
-checked against `group_add` and scalar `Field.add`. `naive_cayley_graph`,
+build and the translation check use too, and `field_shift`, which adds one
+field element to every field index through it; both are checked against
+`group_add` and scalar `Field.add`. `naive_cayley_graph`,
 `naive_translation_failure` and `naive_translation_witness` translate every
 vertex through it, not through the block-by-block build or the block-by-block
 translation check.
@@ -16,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from regclique.construction import GroupElement, group_generators
+from regclique.construction import GroupElement, field_index_map, group_generators
 from regclique.errors import IndexOutOfRange
 from regclique.graphcore import Graph
 
@@ -215,6 +216,17 @@ def translator(gp):
         return ((zs + e.z) % gp.l) * block + (vs ^ e.v) * q + fidx_of_code[gp.field.add_array(fcodes, e.f)]
 
     return translate
+
+
+def field_shift(gp):
+    """The map f -> (fidx(x + f) for every field index of x), as an int32 array of q entries."""
+    fcodes, fidx_of_code = field_index_map(gp)
+    fcodes = fcodes.astype(np.intp)  # so the sums index fidx_of_code without a cast on every call
+
+    def shift(f):
+        return fidx_of_code[gp.field.add_array(fcodes, f)]
+
+    return shift
 
 
 def naive_cayley_graph(gp, s):

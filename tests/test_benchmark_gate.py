@@ -45,6 +45,13 @@ def test_traced_worker_enters_every_gated_span(monkeypatch, tmp_path):
     assert spans["certify.clique_nexus"]["calls"] == 7  # one per clique of the spread, q = 7
 
 
+def test_traced_worker_enters_every_gated_span_with_rotated_blocks(monkeypatch, tmp_path):
+    # l = 2: the build and the translation check rotate block row 0 into block row 1
+    call = ("certify-m2-q19-l2", "certify", ("certify", "--m", "2", "--q", "19", "--l", "2"))
+    spans = traced_spans(monkeypatch, tmp_path, [call])
+    assert spans["certify.clique_nexus"]["calls"] == 19  # one per clique of the spread, q = 19
+
+
 @pytest.mark.parametrize("kind", sorted(OTHER_CALLS))
 def test_traced_worker_enters_every_gated_span_of_other_kinds(monkeypatch, tmp_path, kind):
     traced_spans(monkeypatch, tmp_path, OTHER_CALLS[kind])

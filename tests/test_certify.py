@@ -36,7 +36,7 @@ from regclique.errors import (
     NotAPartition,
     NotEdgeRegular,
 )
-from regclique.construction import GroupElement, field_shift, group_generators, psi1_table, psi2_table
+from regclique.construction import GroupElement, group_generators, psi1_table, psi2_table
 from regclique.graphcore import Graph
 
 from conftest import cayley_instance
@@ -47,6 +47,7 @@ from reference import (
     cycle_edges,
     decode_vertex,
     edge_list,
+    field_shift,
     naive_attachments,
     naive_common_neighbours,
     naive_edge_regular,
@@ -305,6 +306,7 @@ SWITCH_CASES = [
     (4, 2, 7, 2, (0, 1, 2)),
     (2, 1, 3, 2, (0,)),
     (1, 3, 29, 1, psi1_table()),
+    (6, 2, 13, 1, (2, 0, 1)),  # most drawn 2-switches land in blocks (z, v), z >= 1, rotations of (0, v)
 ]
 
 
@@ -416,6 +418,34 @@ def test_translation_check_fails_on_gathered_translates(case, edit):
     stored = _gathered_translates(gp, g, u, row)
     assert check_translations(gp, stored).witness == (decode_vertex(gp, u), 0)
     _assert_check_matches_oracle(gp, stored)
+
+
+@pytest.mark.parametrize("case", [(3, 2, 13, 1, (2, 0, 1)), (6, 2, 13, 1, (2, 0, 1)), (4, 3, 197, 1, psi1_table())])
+@pytest.mark.parametrize("turn", [1, -1])
+def test_translation_check_fails_on_blocks_rotated_one_column_too_far(case, turn):
+    # every block (z, v), z >= 1, holds the rows of (0, v) rotated by t_z + turn
+    # columns: each row keeps its set of neighbours, out of order
+    gp, _, _, g = _cayley(*case)
+    size = (1 << gp.m) * gp.q
+    table = g.row_table.copy()
+    table[size:] = np.roll(table[size:], turn, axis=1)
+    stored = Graph(g.indptr, table.ravel(), validate=False)
+    assert check_translations(gp, stored).witness == ((1, 0, 0), 0)
+    _assert_check_matches_oracle(gp, stored)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 10])
+def test_translation_check_names_a_block_0_row_before_a_rotated_one(monkeypatch, block_bytes):
+    # the last row of block (0, 3) and the first of block (1, 3) both differ
+    if block_bytes:
+        monkeypatch.setattr(certify, "BLOCK_BYTES", block_bytes)
+    gp, _, _, g = _cayley(6, 2, 13, 1, (2, 0, 1))
+    q = gp.q
+    u0, u1 = 4 * q - 1, 7 * q
+    stored = _with_rows(g, {u: _swapped(g.neighbours(u), 0, 1) for u in (u0, u1)})
+    assert check_translations(gp, stored).witness == (decode_vertex(gp, u0), 0)
+    _assert_check_matches_oracle(gp, stored)
+    assert check_translations(gp, _with_rows(g, {u1: _swapped(g.neighbours(u1), 0, 1)})).witness == ((1, 3, 0), 0)
 
 
 def _block_invariant_two_switch(gp, g):

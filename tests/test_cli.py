@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import hashlib
 import json
 import os
@@ -278,6 +279,10 @@ GOLDEN_SHA256 = {
     # recorded while block translations were still checked by sorting every image
     ("certify", "--m", "2", "--q", "199", "--l", "11"): "e989d985dfc4dc9a10dbf1c954f361348e442f9dbf7bd48f8320250ec0fcbe48",
     ("certify", "--m", "3", "--q", "197", "--l", "4", "--variant", "psi1"): "2edf3bdd4529b581bb05c21e7859318de20a8fe2d3cc090b63a6772d94f93d1c",
+    # recorded while every block was gathered from block 0, before blocks (z, v) were rotations of (0, v):
+    # l = 6 makes five block rows by rotation, and GF(25) is an extension field
+    ("export", "--m", "2", "--q", "13", "--l", "6", "--pi", "2,0,1", "--format", "edges"): "8789583aa94e024938be06d45f4f60c55e4be3ecadc4069e88f7c997985a486b",
+    ("export", "--m", "2", "--q", "25", "--l", "3"): "fc8f5d8e5b532aa44a307a4fca01dc6df11440b49f164c10b25d4b4487a61891",
 }
 
 # certificates that fail (exit 1), recorded at the same commit as the two above
@@ -285,6 +290,8 @@ GOLDEN_FAILING_SHA256 = {
     ("certify", "--m", "2", "--q", "7", "--l", "2"): "50f716123fa37b83605ea32d46d9d0a4b1d1760132a3f04ece4ce893bec71389",
     ("certify", "--m", "2", "--q", "13", "--l", "3"): "30249323d90b7aeec999e8a69973d1f159e95965293d9303ad3c164031804181",
     ("certify", "--m", "3", "--q", "29", "--variant", "psi2"): "8d4eebab321a6fe0ca570fce2de6392790bf2b2ecdf96382cd24dc41041354f5",
+    # recorded at the same commit as the l = 6 and GF(25) exports above
+    ("certify", "--m", "3", "--q", "43", "--l", "3", "--variant", "psi2"): "83b48f286f184b87546dfb93997474075893a7794548a9986894a239aa686eec",
 }
 
 
@@ -376,6 +383,31 @@ def test_every_size_refusal_is_a_usage_error(monkeypatch, capsys, tmp_path, argv
         main([*argv, "--out", str(out_path)] if argv[0] == "certify" else list(argv))
     out = capsys.readouterr()
     assert (exc.value.code, out.out) == (2, "")
+    assert out.err.splitlines()[-1] == f"regclique: error: {message}"
+    assert not out_path.exists()
+
+
+HUGE = 2**600  # N = 2^m * l * q stays far below MAX_ORDER_BITS, the bytes it needs far beyond a float
+
+
+@pytest.mark.parametrize("command", ["certify", "export", "cyclotab"])
+def test_a_size_refusal_beyond_a_float_is_a_usage_error(monkeypatch, capsys, tmp_path, command):
+    monkeypatch.setattr(errors, "memory_limit", lambda: 10**9)
+    out_path = tmp_path / "out"
+    if command == "cyclotab":
+        argv = [command, "--q", "7", "--n", str(HUGE)]
+        subject, need = f"an n x n table for n = {HUGE} needs", 8 * HUGE**2
+    else:
+        argv = [command, "--m", "2", "--q", "7", "--l", str(HUGE), "--out", str(out_path)]
+        subject, need = f"N = {28 * HUGE} vertices need", 28 * HUGE * (4 * (4 * HUGE + 5) + VERTEX_BYTES)
+    with decimal.localcontext(prec=800):
+        gigabytes = f"{decimal.Decimal(need) / 10**9:.1f}"
+    use = "" if command == "cyclotab" else " for the graph"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    message = f"{subject} about {gigabytes} GB{use}, more than half of the 2.0 GB of physical memory"
     assert out.err.splitlines()[-1] == f"regclique: error: {message}"
     assert not out_path.exists()
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regclique import construction
 from regclique.construction import (
     GroupElement,
     build_cayley_graph,
     default_pi,
     encode_vertex,
-    field_shift,
     generating_set,
     graph_size,
     group_generators,
@@ -33,7 +34,7 @@ from regclique.errors import AsymmetricGeneratingSet, IndexOutOfRange, ZeroVecto
 from regclique.fields import build_field, dlog, find_primitive_element
 from regclique.numtheory import prime_powers
 
-from reference import decode_vertex, group_add, naive_cayley_graph, naive_exp_table, translator
+from reference import decode_vertex, field_shift, group_add, naive_cayley_graph, naive_exp_table, translator
 
 
 @functools.cache
@@ -279,6 +280,26 @@ def test_graph_size_counts_the_connection_set(l, m, p, a, pi):
         assert isinstance(erg, Failure)
     else:
         assert erg.lam == lam
+
+
+@pytest.mark.parametrize("l", [1, 11])
+def test_build_allocates_nothing_but_the_graph_beyond_a_constant(monkeypatch, l):
+    # block 0 is filled a few rows at a time and every other block written in
+    # place: one more array of a block's q * k entries would add a quarter of
+    # the graph at l = 1 (160 KB) and 192 KB at l = 11
+    monkeypatch.setattr(construction, "BLOCK_BYTES", 1 << 12)
+    gp = group(l, 2, 199)
+    s = generating_set(gp, (0, 1, 2))
+    build_cayley_graph(gp, s)  # warm: one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        g = build_cayley_graph(gp, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    graph_bytes = g.indices.nbytes + g.indptr.nbytes + g.degrees.nbytes
+    assert g.indices.nbytes == gp.n_vertices * len(s) * 4
+    assert peak <= graph_bytes + (64 << 10)
 
 
 def test_build_refuses_elements_outside_the_group():
