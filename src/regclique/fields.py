@@ -6,10 +6,12 @@ prime-field case (a = 1) is plain residue arithmetic. All choices made during
 construction (modulus, primitive element) are deterministic so that repeated
 runs produce identical fields.
 
-Multiplying codes by y (`Field.mul_array`) is, for a = 1, codes * y % p and,
-for a > 1, multiplication by the a x a matrix of y over Z_p on their base-p
-digits. The matrix of y is y's digits contracted with the matrices of x**0 ..
-x**(a-1), which each field makes once (`Field.x_matrices`).
+Every product in a field with a > 1 is a multiplication matrix over Z_p
+applied to base-p digits. The matrix of x is the companion matrix C of the
+modulus, that of x**j is C**j, and the matrix of y (`Field.matrix`) is the
+sum of y's digits times the C**j for j < a, which each field makes once
+(`Field.x_matrices`). `Field.pow` squares and multiplies matrices, and
+`Field.mul_add_array` applies the matrix of y to an array of codes.
 
 `powers(field, g, count)` lists g**0 .. g**(count-1). For a = 1 it is one
 outer product (baby-step/giant-step): with b = ceil(sqrt(count)), row j of
@@ -122,26 +124,6 @@ def _reduce(t: np.ndarray, p: int) -> np.ndarray:
 # polynomial helpers over Z_p, little-endian coefficient tuples
 
 
-def _poly_mul_mod(u, v, modulus, p):
-    """(u * v) mod modulus, with monic modulus of degree a; result length a.
-
-    Coefficients are reduced mod p only where a leading one is eliminated and
-    at the end.
-    """
-    a = len(modulus) - 1
-    prod = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                prod[i + j] += ui * vj
-    for i in range(len(prod) - 1, a - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(a):
-                prod[i - a + j] -= c * modulus[j]
-    return tuple(c % p for c in prod[:a])
-
-
 def _monic_divisors(p, a):
     """The monic polynomials of degree 1 .. a/2 over Z_p, ascending in degree and code.
 
@@ -225,11 +207,6 @@ class Field:
             return -x % self.p
         return self.code([-u for u in self.coeffs(x)])
 
-    def mul(self, x: int, y: int) -> int:
-        if self.a == 1:
-            return x * y % self.p
-        return self.code(_poly_mul_mod(self.coeffs(x), self.coeffs(y), self.modulus, self.p))
-
     def pow(self, x: int, k: int) -> int:
         """x**k; a negative k takes powers of the inverse, which zero has not."""
         if k < 0:
@@ -238,36 +215,40 @@ class Field:
             k %= self.q - 1
         if self.a == 1:
             return pow(x, k, self.p)
-        # square and multiply on coefficient tuples, with one conversion each way
-        r, b = (1,) + (0,) * (self.a - 1), self.coeffs(x)
+        # square and multiply on matrices, applied to the digits of 1: the product is column 0 of x**k's matrix
+        p, r, b = self.p, np.eye(self.a, 1, dtype=np.int64), self.matrix(x)
         while k:
             if k & 1:
-                r = _poly_mul_mod(r, b, self.modulus, self.p)
+                r = b @ r % p
             k >>= 1
             if k:
-                b = _poly_mul_mod(b, b, self.modulus, self.p)
-        return self.code(r)
+                b = b @ b % p
+        return self.code(r[:, 0].tolist())
 
     @cached_property
     def x_matrices(self) -> np.ndarray:
-        """(a, a, a) int64 stack: entry j multiplies base-p digit vectors by x**j.
+        """(a, a, a) int64 stack: entry j is C**j, C the companion matrix of the modulus.
 
-        Column i of entry j holds the digits of x**(i+j). The 2a - 1 powers of
-        x (code p) are chained through `Field.mul`, so the matrices reduce by
-        the same modulus as the scalar products.
+        C multiplies base-p digit vectors by x: it moves each digit up one
+        place and folds x**a back as -(c_0 + ... + c_{a-1} x**(a-1)).
         """
-        codes = [1]
-        for _ in range(2 * self.a - 2):
-            codes.append(self.mul(codes[-1], self.p))
-        digits = np.array([self.coeffs(c) for c in codes], dtype=np.int64)  # row k: the digits of x**k
-        return np.stack([digits[j : j + self.a].T for j in range(self.a)])
+        p, a = self.p, self.a
+        companion = np.eye(a, k=-1, dtype=np.int64)
+        companion[:, -1] = -np.array(self.modulus[:a], dtype=np.int64) % p
+        out = [np.eye(a, dtype=np.int64)]
+        for _ in range(a - 1):
+            out.append(companion @ out[-1] % p)
+        return np.stack(out)
 
-    def matrix(self, y: int) -> np.ndarray:
+    def matrix(self, y) -> np.ndarray:
         """The a x a matrix over Z_p of multiplication by y on base-p digits (a > 1).
 
-        Its entries sum at most a products below p**2 before the reduction.
+        For an array of codes y, the stack of their matrices. Each entry sums
+        at most a products below p**2 before the reduction.
         """
-        return np.tensordot(np.array(self.coeffs(y), dtype=np.int64), self.x_matrices, axes=1) % self.p
+        p, a = self.p, self.a
+        digits = np.asarray(y, dtype=np.int64)[..., None] // p ** np.arange(a, dtype=np.int64) % p
+        return (digits @ self.x_matrices.reshape(a, a * a) % p).reshape(*digits.shape[:-1], a, a)
 
     def apply_matrix(self, matrix: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
         """Write to out the codes whose digits are matrix times those of codes, mod p.
@@ -282,14 +263,6 @@ class Field:
             np.remainder(product, p, out=product)
             np.matmul(place, product, out=out[i : i + TABLE_BLOCK])
 
-    def mul_array(self, codes: np.ndarray, y: int) -> np.ndarray:
-        """Vectorised product of an int64 array of codes with a single element y."""
-        if self.a == 1:
-            return _reduce(codes * y, self.p)
-        out = np.empty_like(codes)
-        self.apply_matrix(self.matrix(y), codes, out)
-        return out
-
     def mul_add_array(self, codes: np.ndarray, y: int, s: int) -> np.ndarray:
         """Vectorised codes * y + s for single elements y and s.
 
@@ -300,7 +273,9 @@ class Field:
             out = codes * y
             out += s
             return _reduce(out, self.p)
-        return self.add_array(self.mul_array(codes, y), s)
+        out = np.empty_like(codes)
+        self.apply_matrix(self.matrix(y), codes, out)
+        return self.add_array(out, s)
 
     def add_array(self, codes: np.ndarray, s) -> np.ndarray:
         """codes + s, for a single element s or an array of elements that broadcasts to codes' shape.
@@ -439,7 +414,7 @@ def _first_of_full_order(field: Field, codes: np.ndarray, exponents: list):
     """
     p, a = field.p, field.a
     place = p ** np.arange(a, dtype=np.int64)
-    square = np.tensordot(codes[:, None] // place % p, field.x_matrices, axes=1) % p
+    square = field.matrix(codes)
     bits = np.array([[e >> i & 1 for e in exponents] for i in range(max(exponents).bit_length())], dtype=bool)
     power = np.zeros((len(codes), a, len(exponents)), dtype=np.int64)
     power[:, 0] = 1

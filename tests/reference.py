@@ -2,14 +2,18 @@
 
 Everything here is deliberately written as plain loops (over adjacency sets,
 or one scalar field multiplication at a time), with no shared code with the
-package kernels. The exceptions are `translator`, which decodes every vertex
-into arrays and adds through `Field.add_array`, the group's addition that the
-build and the translation check use too, and `field_shift`, which adds one
-field element to every field index through it; both are checked against
-`group_add` and scalar `Field.add`. `naive_cayley_graph`,
-`naive_translation_failure` and `naive_translation_witness` translate every
-vertex through it, not through the block-by-block build or the block-by-block
-translation check.
+package kernels. The scalar product of GF(p^a) lives here, not in the
+package: `field_mul` multiplies coefficient tuples and reduces them by the
+modulus, and `field_pow` squares and multiplies through it, where the
+package multiplies by matrices over Z_p.
+
+The exceptions are `translator`, which decodes every vertex into arrays and
+adds through `Field.add_array`, the group's addition that the build and the
+translation check use too, and `field_shift`, which adds one field element
+to every field index through it; both are checked against `group_add` and
+scalar `Field.add`. `naive_cayley_graph`, `naive_translation_failure` and
+`naive_translation_witness` translate every vertex through it, not through
+the block-by-block build or the block-by-block translation check.
 """
 
 from collections import Counter
@@ -32,13 +36,45 @@ def edge_list(graph):
     return [(u, v) for u in range(graph.n) for v in graph.neighbours(u) if u < v]
 
 
+def _digits(field, x):
+    """The a base-p digits of the code x, lowest first: its coefficients over Z_p."""
+    return [x // field.p**i % field.p for i in range(field.a)]
+
+
+def field_mul(field, x, y):
+    """x * y in GF(q): for a > 1 the product of the coefficient tuples, reduced by the monic modulus."""
+    p, a = field.p, field.a
+    if a == 1:
+        return x * y % p
+    prod = [0] * (2 * a - 1)
+    for i, u in enumerate(_digits(field, x)):
+        for j, v in enumerate(_digits(field, y)):
+            prod[i + j] += u * v
+    for i in range(2 * a - 2, a - 1, -1):  # x**i = -(c_0 + ... + c_{a-1} x**(a-1)) * x**(i-a)
+        c = prod[i] % p
+        for j in range(a):
+            prod[i - a + j] -= c * field.modulus[j]
+    return sum(c % p * p**i for i, c in enumerate(prod[:a]))
+
+
+def field_pow(field, x, k):
+    """x**k in GF(q) for k >= 0, by square and multiply through `field_mul`."""
+    r = 1
+    while k:
+        if k & 1:
+            r = field_mul(field, r, x)
+        x = field_mul(field, x, x)
+        k >>= 1
+    return r
+
+
 def naive_exp_table(field, rho):
     """(exp, log) lists of GF(q) for rho: exp[j] = rho**j by q - 1 scalar multiplications,
     log[x] the exponent of x with log[0] = -1."""
     exp, x = [], 1
     for _ in range(field.q - 1):
         exp.append(x)
-        x = field.mul(x, rho)
+        x = field_mul(field, x, rho)
     log = [-1] * field.q
     for j, x in enumerate(exp):
         log[x] = j
@@ -49,7 +85,7 @@ def field_inv(field, x):
     """The inverse of a nonzero x in GF(q), as x**(q - 2)."""
     if x == 0:
         raise ZeroDivisionError("inverse of zero")
-    return field.pow(x, field.q - 2)
+    return field_pow(field, x, field.q - 2)
 
 
 def cyclotomic_class(ctx, i):
@@ -60,7 +96,7 @@ def cyclotomic_class(ctx, i):
     for j in range(ctx.field.q - 1):
         if j % ctx.n == i:
             members.add(x)
-        x = ctx.field.mul(x, ctx.pd.rho)
+        x = field_mul(ctx.field, x, ctx.pd.rho)
     return frozenset(members)
 
 
@@ -71,7 +107,7 @@ def decode_vertex(gp, index):
         raise IndexOutOfRange(f"vertex index {index} not in [0, {gp.n_vertices})")
     z, rest = divmod(index, (1 << gp.m) * gp.q)
     v, fidx = divmod(rest, gp.q)
-    f = 0 if fidx == 0 else gp.field.pow(gp.pd.rho, fidx - 1)
+    f = 0 if fidx == 0 else field_pow(gp.field, gp.pd.rho, fidx - 1)
     return GroupElement(z, v, f)
 
 
@@ -276,5 +312,5 @@ def naive_primitive_elements(field):
     q = field.q
     primes = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % d for d in range(2, r))]
     for x in range(2, q):
-        if all(field.pow(x, (q - 1) // r) != 1 for r in primes):
+        if all(field_pow(field, x, (q - 1) // r) != 1 for r in primes):
             yield x

@@ -292,6 +292,8 @@ GOLDEN_FAILING_SHA256 = {
     ("certify", "--m", "3", "--q", "29", "--variant", "psi2"): "8d4eebab321a6fe0ca570fce2de6392790bf2b2ecdf96382cd24dc41041354f5",
     # recorded at the same commit as the l = 6 and GF(25) exports above
     ("certify", "--m", "3", "--q", "43", "--l", "3", "--variant", "psi2"): "83b48f286f184b87546dfb93997474075893a7794548a9986894a239aa686eec",
+    # recorded while extension-field products still went through coefficient tuples: GF(7^3)
+    ("certify", "--m", "2", "--q", "343", "--l", "1"): "b6045b9e469ea28d5ab634d5f8569d88a0a7a44bb4b7cb1cf7f907b297a74296",
 }
 
 
@@ -317,6 +319,8 @@ GOLDEN_STDOUT_SHA256 = {
     # the benchmark's search_wide calls, recorded before classes were taken as cosets of <rho**n>
     ("search", "--m", "2", "--q-max", "20000"): "951555b24094ff5f33901ab1efd2dcc0f512f315cbdf311d694c218aa0be7619",
     ("search", "--m", "3", "--q-max", "20000"): "d3daa823db74d35d9072582938fe68bd560da1cbb5ff5744611d70fea2f65c53",
+    # GF(2^12), recorded while extension-field products still went through coefficient tuples
+    ("cyclotab", "--p", "2", "--a", "12", "--n", "7"): "8b00bf5e5e428abd22cd1d41c06d028cc2136f1a08dc7861bd4460c3562bea85",
 }
 
 

@@ -2,7 +2,7 @@
 
 Each test is skipped when its library is missing: networkx decides strong
 regularity, sympy decides irreducibility, primitive roots, primality and
-factorizations.
+factorizations, and multiplies polynomials over Z_p.
 """
 
 import functools
@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from regclique.certify import Failure, check_edge_regular, check_strongly_regular
@@ -87,6 +88,27 @@ def test_field_moduli_are_the_first_irreducibles_by_sympy(monkeypatch, block):
     if block:
         monkeypatch.setattr(fields, "TABLE_BLOCK", block)
     assert {(p, a): _find_modulus(p, a) for p, a in expected} == expected
+
+
+def test_matrix_products_agree_with_sympy_galoistools():
+    # x * y is the matrix of y applied to x's digits; sympy multiplies the
+    # polynomials and reduces them by its own first irreducible
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(24)
+    for (p, a), coeffs in _first_irreducibles().items():
+        f = build_field(p, a)
+        xs = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(13)]
+        ys = [f.q - 1, 0, p] + [rng.randrange(f.q) for _ in range(13)]
+        place = p ** np.arange(a, dtype=np.int64)
+        digits = np.array(xs, dtype=np.int64)[:, None, None] // place[:, None] % p  # entry i: x_i's digits as a column
+        products = (place @ (f.matrix(np.array(ys)) @ digits % p))[:, 0]
+        modulus = list(reversed(coeffs))  # galoistools lists coefficients highest first
+        for x, y, product in zip(xs, ys, products.tolist()):
+            u, v = ([c // p**i % p for i in reversed(range(a))] for c in (x, y))
+            r = galoistools.gf_rem(galoistools.gf_mul(galoistools.gf_strip(u), galoistools.gf_strip(v), p, ZZ), modulus, p, ZZ)
+            assert product == sum(int(c) * p**i for i, c in enumerate(reversed(r))), (p, a, x, y)
 
 
 def test_prime_field_rho_is_the_smallest_primitive_root_by_sympy():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import field_inv, naive_exp_table, naive_primitive_elements
+from reference import field_inv, field_mul, field_pow, naive_exp_table, naive_primitive_elements
 from regclique import errors, fields
 from regclique.errors import ExponentZero, FieldTooLarge, IndexOutOfRange, NotPrime, ZeroHasNoLog
 from regclique.fields import PrimitiveData, build_field, dlog, find_primitive_element, is_prime
@@ -42,7 +42,7 @@ def test_build_prime_field():
     assert (f.p, f.a, f.q) == (7, 1, 7)
     assert f.modulus is None
     assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
+    assert f.mul_add_array(np.array([3, 5]), 5, 0).tolist() == [1, 4]
     assert f.neg(3) == 4
 
 
@@ -142,6 +142,13 @@ def test_exp_log_mutually_inverse(p, a):
     assert nonzero == list(range(1, f.q))
 
 
+def _mul(f, x, y):
+    """x * y by the package: one code times y through `Field.mul_add_array`, checked against the tuple product."""
+    product = int(f.mul_add_array(np.array([x], dtype=np.int64), y, 0)[0])
+    assert product == field_mul(f, x, y), (f.q, x, y)
+    return product
+
+
 @pytest.mark.parametrize("p,a", [(7, 1), (11, 1), (101, 1), (7, 2), (5, 2), (3, 3), (13, 2)])
 def test_field_axioms_on_random_triples(p, a):
     f = build_field(p, a)
@@ -149,12 +156,12 @@ def test_field_axioms_on_random_triples(p, a):
     for _ in range(1000):
         x, y, z = (rng.randrange(f.q) for _ in range(3))
         assert f.add(x, y) == f.add(y, x)
-        assert f.mul(x, y) == f.mul(y, x)
+        assert _mul(f, x, y) == _mul(f, y, x)
         assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
-        assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
-        assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
+        assert _mul(f, _mul(f, x, y), z) == _mul(f, x, _mul(f, y, z))
+        assert _mul(f, x, f.add(y, z)) == f.add(_mul(f, x, y), _mul(f, x, z))
     for x in range(1, f.q):
-        assert f.mul(x, field_inv(f, x)) == 1
+        assert _mul(f, x, field_inv(f, x)) == 1
 
 
 @pytest.mark.parametrize("p,a", [(7, 1), (13, 1), (29, 1), (7, 2), (5, 2)])
@@ -225,7 +232,7 @@ def test_tables_match_naive_when_split_into_blocks(monkeypatch, p, a):
     f = build_field(p, a)
     pd = find_primitive_element(f)
     _assert_tables_match_naive(f, pd)
-    assert f.mul_array(pd.exp, pd.rho).tolist() == np.roll(pd.exp, -1).tolist()  # one product over many blocks
+    assert f.mul_add_array(pd.exp, pd.rho, 0).tolist() == np.roll(pd.exp, -1).tolist()  # one product over many blocks
 
 
 @settings(max_examples=300, deadline=None)
@@ -237,9 +244,8 @@ def test_array_arithmetic_matches_scalar(pp, data):
     codes = data.draw(st.lists(element, min_size=1, max_size=50))
     y, s = data.draw(element), data.draw(element)
     array = np.array(codes, dtype=np.int64)
-    assert f.mul_array(array, y).tolist() == [f.mul(x, y) for x in codes]
     assert f.add_array(array, y).tolist() == [f.add(x, y) for x in codes]
-    assert f.mul_add_array(array, y, s).tolist() == [f.add(f.mul(x, y), s) for x in codes]
+    assert f.mul_add_array(array, y, s).tolist() == [f.add(field_mul(f, x, y), s) for x in codes]
 
 
 def test_mul_add_array_at_the_largest_prime_codes():
@@ -258,19 +264,30 @@ def test_powers_match_scalar_pow(monkeypatch, p, a, table_block):
     monkeypatch.setattr(fields, "TABLE_BLOCK", table_block)
     f = build_field(p, a)
     b = isqrt(f.q - 1)
+    counts = sorted({0, 1, 2, 3, b * b - 1, b * b, b * b + 1, f.q - 1})
     for g in sorted({0, 1, find_primitive_element(f).rho, f.q - 1}):
-        for count in sorted({0, 1, 2, 3, b * b - 1, b * b, b * b + 1, f.q - 1}):
-            assert fields.powers(f, g, count).tolist() == [f.pow(g, j) for j in range(count)]
+        expected = [field_pow(f, g, j) for j in range(counts[-1])]
+        for count in counts:
+            assert fields.powers(f, g, count).tolist() == expected[:count]
 
 
 @pytest.mark.parametrize("p,a", [(2, 2), (3, 2), (5, 2), (3, 3), (2, 4)])
 def test_matrix_of_y_times_digits_of_x_is_their_product(p, a):
     f = build_field(p, a)
+    # x**0 is the identity and x**1 the companion matrix: ones below the diagonal, -c_i in the last column
+    companion = [[int(i == j + 1) for j in range(a - 1)] + [-f.modulus[i] % p] for i in range(a)]
+    assert f.x_matrices[0].tolist() == np.eye(a, dtype=int).tolist()
+    assert f.x_matrices[1].tolist() == companion
     place = p ** np.arange(a, dtype=np.int64)
     digits = np.arange(f.q, dtype=np.int64) // place[:, None] % p  # column x: the digits of x
     for y in range(f.q):
         product = place @ (f.matrix(y) @ digits % p)
-        assert product.tolist() == [f.mul(x, y) for x in range(f.q)]
+        assert product.tolist() == [field_mul(f, x, y) for x in range(f.q)]
+    # an array of codes gives the stack of their matrices, in any shape
+    codes = np.arange(f.q, dtype=np.int64)
+    stack = np.stack([f.matrix(y) for y in range(f.q)])
+    assert f.matrix(codes).tolist() == stack.tolist()
+    assert f.matrix(codes[::-1].reshape(-1, 1)).tolist() == stack[::-1, None].tolist()
 
 
 @pytest.mark.parametrize("p,a", [(1000003, 1), (101, 3)])
@@ -290,11 +307,16 @@ def test_powers_makes_no_table_sized_temporary(p, a):
     assert peak <= 8 * (f.q - 1) + 8 * (b + 4 * a * fields.TABLE_BLOCK) + 64 * 1024
 
 
-@pytest.mark.parametrize("p,a", [(7, 1), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,a", [(7, 1), (5, 2), (3, 3), (2, 4), (13, 2)])
 def test_pow_with_negative_exponent_inverts(p, a):
     f = build_field(p, a)
+    for x in range(f.q):
+        assert [f.pow(x, k) for k in (0, 1, f.q - 2, f.q - 1, f.q)] == [
+            field_pow(f, x, k) for k in (0, 1, f.q - 2, f.q - 1, f.q)
+        ]
     for x in range(1, f.q):
-        assert f.mul(x, f.pow(x, -1)) == 1
+        assert field_mul(f, x, f.pow(x, -1)) == 1
+        assert field_mul(f, field_pow(f, x, f.q + 3), f.pow(x, -(f.q + 3))) == 1
         assert f.pow(x, -1) == field_inv(f, x)
         for k in (2, 5, f.q - 1, f.q + 3):
             assert f.pow(x, -k) == f.pow(f.pow(x, -1), k)
@@ -310,11 +332,11 @@ def test_field_axioms_on_drawn_fields(pp, data):
     f = build_field(p, a)
     x, y, z = (data.draw(st.integers(0, f.q - 1)) for _ in range(3))
     assert f.add(x, y) == f.add(y, x)
-    assert f.mul(x, y) == f.mul(y, x)
+    assert _mul(f, x, y) == _mul(f, y, x)
     assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
-    assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
-    assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
-    assert f.add(x, 0) == x and f.mul(x, 1) == x
+    assert _mul(f, _mul(f, x, y), z) == _mul(f, x, _mul(f, y, z))
+    assert _mul(f, x, f.add(y, z)) == f.add(_mul(f, x, y), _mul(f, x, z))
+    assert f.add(x, 0) == x and _mul(f, x, 1) == x
     assert f.add(x, f.neg(x)) == 0
     if x:
-        assert f.mul(x, field_inv(f, x)) == 1
+        assert _mul(f, x, field_inv(f, x)) == 1
