@@ -2,6 +2,11 @@
 nexus, predicted-vs-measured local valencies and common-neighbour counts, and
 a (non-)strong-regularity verdict with reusable witnesses.
 
+Both predictions are cases of one slice sum over the nonzero vectors v,
+T(u, i) = sum over v outside {0, u} of c(pi(v) - i, pi(v + u) - i): the
+local valency of the slice of u is T(u, pi(u)), and the mu witness at
+(0, g, rho) is 2 + T(g, 1).
+
 A certificate never throws on a failed property: each named check records its
 own pass/fail so a failing run is as inspectable as a passing one. Witnesses
 are always the lexicographically smallest found, making certificates
@@ -222,9 +227,7 @@ def _srg_scan(g: Graph, erg, sources) -> SrgScan:
     if not found:
         raise ValueError(f"the sources {sources} reach no non-edge (u, v) with u < v")
     mu = mu_values[0]
-    disc = sqrt((erg.lam - mu) ** 2 + 4 * (erg.k - mu))
-    theta1 = ((erg.lam - mu) + disc) / 2
-    theta2 = ((erg.lam - mu) - disc) / 2
+    theta1, theta2 = eigenvalues_2x2(((erg.lam - mu, erg.k - mu), (1, 0)))
     params = SrgParams(n=erg.n, k=erg.k, lam=erg.lam, mu=mu, theta1=theta1, theta2=theta2)
     return SrgScan("SRG", params, mu_values, witnesses)
 
@@ -297,51 +300,45 @@ def clique_nexus(g: Graph, clique) -> CliqueReport:
 # predictions from the cyclotomic side
 
 
-def _check_ctx(gp: GroupParams, ctx: CyclotomicContext):
+def slice_sum(gp: GroupParams, pi: tuple, ctx: CyclotomicContext, u: int, i: int) -> int:
+    """T(u, i): the sum over the vectors v outside {0, u} of c(pi(v) - i, pi(v + u) - i), classes mod n.
+
+    pi is a validated bijection, pi[v - 1] = pi(v), and u any vector, 0 included (else
+    IndexOutOfRange). A context whose n is not 2^m - 1 raises WrongN.
+    """
     n = (1 << gp.m) - 1
     if ctx.n != n:
         raise WrongN(f"context has n = {ctx.n}, group needs n = {n}")
+    if not 0 <= u <= n:
+        raise IndexOutOfRange(f"vector {u} not in [0, {n + 1})")
+    return sum(
+        cyclotomic_number(ctx, (pi[v - 1] - i) % n, (pi[(v ^ u) - 1] - i) % n) for v in range(1, n + 1) if v != u
+    )
 
 
 def predicted_local_valencies(gp: GroupParams, pi, ctx: CyclotomicContext) -> Counter:
-    """Expected within-neighbourhood degree multiset at any vertex.
-
-    One value 2^m*l - 2 per s0 element; for the slice of each nonzero vector g,
-    the sum over the other vectors h of c(pi(h-g) - pi(g), pi(h) - pi(g)).
-    """
-    _check_ctx(gp, ctx)
+    """Expected within-neighbourhood degree multiset at any vertex: lambda at each of
+    the lambda + 1 elements of s0, and T(u, pi(u)) at each element of the slice of u."""
     pi = validate_bijection(gp.m, pi)
-    n = ctx.n
-    size = (1 << gp.m) * gp.l
-    out = Counter({size - 2: size - 1})
-    per_class = (gp.q - 1) // n
-    for gv in range(1, 1 << gp.m):
-        total = sum(
-            cyclotomic_number(ctx, (pi[(h ^ gv) - 1] - pi[gv - 1]) % n, (pi[h - 1] - pi[gv - 1]) % n)
-            for h in range(1, 1 << gp.m)
-            if h != gv
-        )
-        out[total] += per_class
+    lam = graph_size(gp.l, gp.m, gp.q)[2]
+    out = Counter({lam: lam + 1})
+    per_class = (gp.q - 1) // ((1 << gp.m) - 1)
+    for u in range(1, 1 << gp.m):
+        out[slice_sum(gp, pi, ctx, u, pi[u - 1])] += per_class
     return out
 
 
 def predicted_mu_witness(gp: GroupParams, pi, ctx: CyclotomicContext, gv: int) -> int:
-    """Expected common-neighbour count of the identity and (0, gv, rho).
+    """Expected common-neighbour count of the identity and (0, gv, rho): 2 + T(gv, 1).
 
     Only defined when pi(gv) != 1; otherwise the two vertices are adjacent.
     """
-    _check_ctx(gp, ctx)
     pi = validate_bijection(gp.m, pi)
     if not 0 < gv < (1 << gp.m):
         raise HypothesisViolated(f"gv = {gv} is not a nonzero bit-vector")
     if pi[gv - 1] == 1:
         raise HypothesisViolated(f"pi({gv}) = 1: the witness pair would be adjacent")
-    n = ctx.n
-    return 2 + sum(
-        cyclotomic_number(ctx, (pi[h - 1] - 1) % n, (pi[(h ^ gv) - 1] - 1) % n)
-        for h in range(1, 1 << gp.m)
-        if h != gv
-    )
+    return 2 + slice_sum(gp, pi, ctx, gv, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,29 +427,9 @@ class Certificate(NamedTuple):
     checks: list
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "l": self.l,
-            "p": self.p,
-            "a": self.a,
-            "q": self.q,
-            "modulus": list(self.modulus) if self.modulus is not None else None,
-            "rho": self.rho,
-            "pi": list(self.pi),
-            "variant": self.variant,
-            "N": self.n_vertices,
-            "k": self.k,
-            "lambda": self.lam,
-            "edge_regular": self.edge_regular,
-            "spread": self.spread,
-            "srg": self.srg,
-            "checks": self.checks,
-            "pass": self.passed,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        names = {"n_vertices": "N", "lam": "lambda", "passed": "pass"}
+        return json.dumps({names.get(name, name): value for name, value in self._asdict().items()}, indent=2)
 
     def first_failure(self) -> str | None:
         for check in self.checks:

@@ -26,8 +26,10 @@ from regclique.certify import (
     predicted_local_valencies,
     predicted_mu_witness,
     quotient_matrix,
+    slice_sum,
     srg_clique_parameters,
 )
+from regclique.cyclotomy import make_context
 from regclique.errors import (
     HypothesisViolated,
     IndexOutOfRange,
@@ -35,9 +37,12 @@ from regclique.errors import (
     NotAClique,
     NotAPartition,
     NotEdgeRegular,
+    WrongN,
 )
-from regclique.construction import GroupElement, group_generators, psi1_table, psi2_table
+from regclique.construction import GroupElement, group_generators, make_group, psi1_table, psi2_table
+from regclique.fields import build_field, find_primitive_element
 from regclique.graphcore import Graph
+from regclique.numtheory import search_m2, search_m3
 
 from conftest import cayley_instance
 from reference import (
@@ -667,6 +672,61 @@ def test_predicted_mu_witness_m3(m3_29):
         predicted_mu_witness(gp, pi, ctx, 4)
 
 
+def _slice_sum_instances():
+    """The search hits with N <= 2000 (m=2: q <= 79, m=3: q <= 127) and five instances whose certificates fail."""
+    hits = [(r.l, 2, r.p, r.a, (0, 1, 2)) for r in search_m2(79)]
+    hits += [(r.l, 3, r.p, r.a, psi1_table() if r.variant == "psi1" else psi2_table()) for r in search_m3(127)]
+    assert len(hits) == 13
+    failing = [
+        (2, 2, 7, 1, (0, 1, 2)),
+        (1, 2, 7, 3, (0, 1, 2)),
+        (6, 2, 13, 1, (2, 0, 1)),
+        (1, 3, 29, 1, psi2_table()),
+        (3, 3, 43, 1, psi2_table()),
+    ]
+    return [
+        pytest.param(l, m, p, a, pi, id=f"l{l}-m{m}-q{p**a}-pi{''.join(map(str, pi))}")
+        for l, m, p, a, pi in hits + failing
+    ]
+
+
+@pytest.mark.parametrize("l, m, p, a, pi", _slice_sum_instances())
+def test_common_neighbours_at_zero_are_slice_sums(l, m, p, a, pi):
+    # |N(0) & N(w)| at w = (0, u, rho^i), every vector u and class i: T(u, pi(u)) when w is
+    # in the slice of u, else 2 [u != pi^-1(i)] + T(u, i); lambda at (z, v, 0); 2 at (z, v, 1), z >= 1
+    gp, pi, ctx, g = cayley_instance(l, m, p, a, pi)
+    at_zero = g.adjacent_counts(np.array(g.neighbours(0), dtype=np.intp))
+    n, q, vectors = ctx.n, gp.q, 1 << m
+    for u in range(vectors):
+        for i in range(n):
+            w = u * q + i + 1
+            if u and i == pi[u - 1]:
+                assert g.has_edge(0, w)
+                assert at_zero[w] == slice_sum(gp, pi, ctx, u, i)
+            else:
+                assert not g.has_edge(0, w)
+                assert at_zero[w] == 2 * (u != pi.index(i) + 1) + slice_sum(gp, pi, ctx, u, i)
+    blocks = np.arange(1, l * vectors) * q
+    assert (at_zero[blocks] == vectors * l - 2).all()
+    assert (at_zero[blocks[vectors - 1 :] + 1] == 2).all()
+
+
+def test_predictions_refuse_a_context_of_another_n(x1):
+    gp, pi, ctx3, _ = x1
+    for n in (1, 2, 6):
+        ctx = make_context(gp.field, gp.pd, n)
+        message = f"context has n = {n}, group needs n = 3"
+        with pytest.raises(WrongN, match=message):
+            predicted_local_valencies(gp, pi, ctx)
+        with pytest.raises(WrongN, match=message):
+            predicted_mu_witness(gp, pi, ctx, 1)
+        with pytest.raises(WrongN, match=message):
+            slice_sum(gp, pi, ctx, 1, 0)
+    for u in (-1, 4):  # not a vector of Z_2^2
+        with pytest.raises(IndexOutOfRange, match=f"vector {u} not in"):
+            slice_sum(gp, pi, ctx3, u, 0)
+
+
 def test_quotient_matrix_x1(x1):
     gp, _, _, g = x1
     clique = canonical_spread(gp)[0]
@@ -773,6 +833,18 @@ def test_certificate_l2_fails_edge_regularity():
     assert by_name["local_valencies"]
     assert by_name["mu_witnesses"]
     assert by_name["not_strongly_regular"]
+
+
+def test_certificate_without_a_cyclotomic_context():
+    # q = 5: n = 3 does not divide q - 1, so neither prediction can be made
+    field = build_field(5, 1)
+    gp = make_group(1, 2, field, find_primitive_element(field))
+    cert = assemble_certificate(gp, (0, 1, 2), None, Graph.from_edges(*cycle_edges(20)))
+    checks = {c["name"]: c for c in cert.checks}
+    detail = "no cyclotomic context: n = 3 does not divide q - 1 = 4"
+    for name in ("local_valencies", "mu_witnesses"):
+        assert checks[name] == {"name": name, "pass": False, "detail": detail}
+    assert not cert.passed
 
 
 def test_certificate_proves_only_a_cayley_graph_of_the_group():
