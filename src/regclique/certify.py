@@ -521,7 +521,7 @@ def assemble_certificate(gp: GroupParams, pi, variant, g: Graph) -> Certificate:
         record("local_valencies", False, f"no cyclotomic context: {exc}")
         record("mu_witnesses", False, f"no cyclotomic context: {exc}")
     else:
-        nbrs = np.array(g.neighbours(0), dtype=np.intp)
+        nbrs = g.neighbours(0)
         at_zero = g.adjacent_counts(nbrs)  # |N(0) & N(w)| for every vertex w
         predicted = predicted_local_valencies(gp, pi, ctx)
         measured = Counter(at_zero[nbrs].tolist())

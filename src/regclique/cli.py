@@ -13,8 +13,9 @@ first call and reused.
 
 import argparse
 import sys
-from bisect import bisect_right
 from functools import cache
+
+import numpy as np
 
 from .certify import assemble_certificate
 from .construction import (
@@ -46,15 +47,17 @@ MAX_ORDER_BITS = 7140
 def _write_edge_lines(g: Graph, fh, prefix: str, base: int) -> None:
     """One `{prefix}u v` line per edge u < v (numbered from base), lexicographically ascending.
 
-    Lines are written a row at a time; memory holds one row and the N vertex names.
+    Lines are written a row at a time: the names of a row's upper neighbours
+    are gathered in one index from the N pre-formatted name strings, so memory
+    holds one row's names and the N names, and no per-edge int is made.
     """
-    names = [str(v + base) for v in range(g.n)]
+    names = np.array([f"{v + base}\n" for v in range(g.n)], dtype=object)
     for u in range(g.n):
-        nbrs = g.neighbours(u)
-        upper = nbrs[bisect_right(nbrs, u) :]
-        if upper:
-            head = f"{prefix}{names[u]} "
-            fh.write(head + f"\n{head}".join([names[v] for v in upper]) + "\n")
+        row = g.neighbours(u)
+        upper = row[row.searchsorted(u, "right") :]
+        if upper.size:
+            head = f"{prefix}{u + base} "
+            fh.write(head + head.join(names[upper].tolist()))
 
 
 def write_dimacs(g: Graph, fh) -> None:

@@ -9,9 +9,9 @@ every cyclotomic number is counted on class 0 alone, with no discrete-log
 table: x = rho**a * y with y in class 0 has x + 1 in class b exactly when
 rho**(n+a-b) * y + rho**(n-b) is in class 0. A context makes class 0 and its
 mask once and keeps each c(a, b) it counts; no other class is ever made.
-`class_index` and `cyclotomic_table` (the `cyclotab` command) label elements
-by their discrete log mod n instead: the table labels every nonzero element
-at once and counts the n**2 numbers in one pass.
+`cyclotomic_table` (the `cyclotab` command) labels elements by their
+discrete log mod n instead: it labels every nonzero element at once and
+counts the n**2 numbers in one pass. `c3_parity_even` needs no class at all.
 """
 
 from functools import cached_property
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadCongruence, IndexOutOfRange, WrongN
-from .fields import Field, PrimitiveData, dlog, powers
+from .fields import Field, PrimitiveData, powers
 
 
 class CyclotomicContext:
@@ -46,11 +46,6 @@ def make_context(field: Field, pd: PrimitiveData, n: int) -> CyclotomicContext:
     if n < 1 or (field.q - 1) % n != 0:
         raise BadCongruence(f"n = {n} does not divide q - 1 = {field.q - 1}")
     return CyclotomicContext(field=field, pd=pd, n=n)
-
-
-def class_index(ctx: CyclotomicContext, x: int) -> int:
-    """Index i in {0, ..., n-1} of the class containing x."""
-    return dlog(ctx.pd, x) % ctx.n
 
 
 def cyclotomic_number(ctx: CyclotomicContext, a: int, b: int) -> int:
@@ -82,11 +77,12 @@ def c3_parity_even(ctx: CyclotomicContext) -> bool:
     """True iff the third cyclotomic number c(1, 2) is even.
 
     Decided without counting: c(1, 2) is even exactly when the element 2
-    lies in class 0.
+    lies in class 0, the cubes, that is when 2**((q-1)/3) = 1. 2 lies in the
+    prime field, so the power is taken mod p, with no discrete-log table.
     """
     if ctx.n != 3:
         raise WrongN(f"parity criterion needs n = 3, got n = {ctx.n}")
-    if ctx.field.q % 6 != 1:
-        raise BadCongruence(f"q = {ctx.field.q} is not 1 mod 6")
-    two = ctx.field.add(1, 1)
-    return class_index(ctx, two) == 0
+    q = ctx.field.q
+    if q % 6 != 1:
+        raise BadCongruence(f"q = {q} is not 1 mod 6")
+    return pow(2, (q - 1) // 3, ctx.field.p) == 1

@@ -1,8 +1,10 @@
 """Immutable graph held as sorted CSR neighbour arrays.
 
 The neighbours of u are `indices[indptr[u]:indptr[u + 1]]`, ascending
-(`int32`). A regular graph of degree k also offers `row_table`, the same
-indices viewed as an (n, k) array whose row u lists the neighbours of u.
+(`int32`). `neighbours(u)` returns that slice as a view, not a copy, and the
+indices are read-only, so no caller can change the graph through it. A
+regular graph of degree k also offers `row_table`, the same indices viewed
+as an (n, k) array whose row u lists the neighbours of u.
 Every common-neighbour count comes from one kernel, `adjacent_counts`: one
 `np.bincount` over the neighbour rows of a vertex set, gathered from
 `row_table` in one index on a regular graph and concatenated row by row on
@@ -36,6 +38,7 @@ class Graph:
         self.n = n
         self.m = int(indptr[-1]) // 2
         self.indptr = indptr
+        indices.flags.writeable = False  # rows handed out by neighbours() are views of it
         self.indices = indices
         self.degrees = degrees
         # the (n, k) view of the indices when every degree is k, else None
@@ -67,9 +70,10 @@ class Graph:
         self._check_vertex(v)
         return int(self.degrees[v])
 
-    def neighbours(self, v: int) -> tuple:
+    def neighbours(self, v: int) -> np.ndarray:
+        """The neighbours of v, ascending: a read-only int32 view of row v of the indices."""
         self._check_vertex(v)
-        return tuple(self._row(v).tolist())
+        return self._row(v)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -107,7 +111,7 @@ class Graph:
 
     def neighbourhood_degree_multiset(self, v: int) -> Counter:
         """Multiset of within-neighbourhood degrees of the neighbours of v."""
-        nbrs = np.array(self.neighbours(v), dtype=np.int64)
+        nbrs = self.neighbours(v)
         return Counter(self.adjacent_counts(nbrs)[nbrs].tolist())
 
     def __repr__(self):

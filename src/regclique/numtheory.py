@@ -123,12 +123,19 @@ def multiplicative_order(x: int, modulus: int) -> int:
 def order_profile(p: int) -> tuple:
     """(n, e): n the order of 2 mod p, e the order of p mod 3n.
 
-    e > 1 together with a !≡ 0 mod e guarantees that the third cyclotomic
-    number c(1, 2) of GF(p**a) is odd (given p**a = 1 mod 6).
+    e needs no factoring: it is the first k in (1, 2, 3) with p**k = 1 mod 3n.
+    n divides p - 1, so p = 1 + jn. When 3 does not divide n, Z/3n splits as
+    Z/3 x Z/n and p = 1 mod n, so e is the order of p mod 3, 1 or 2. When 3
+    divides n, so does 3n divide n**2, and p**3 = 1 + 3jn + 3j**2 n**2 +
+    j**3 n**3 = 1 mod 3n, so e is 1 or 3.
+
+    c(1, 2) of GF(p**a), p**a = 1 mod 6, is odd exactly when e does not
+    divide a (see `search_m2`).
     """
     n = multiplicative_order(2, p)
-    e = multiplicative_order(p, 3 * n)
-    return (n, e)
+    if gcd(p, 3 * n) != 1:  # p = 3, as n < p
+        raise NotCoprime(f"{p} and {3 * n} are not coprime")
+    return n, next(k for k in (1, 2, 3) if pow(p, k, 3 * n) == 1)
 
 
 class SearchRecordM2(NamedTuple):
@@ -144,7 +151,6 @@ class SearchRecordM2(NamedTuple):
     n_vertices: int
     k: int
     lam: int
-    odd_guaranteed: bool  # the sufficient condition (e > 1, a !≡ 0 mod e) held
 
     def summary(self) -> str:
         return (
@@ -186,21 +192,23 @@ def _fields(q_max: int, n: int):
 
 
 def search_m2(q_max: int) -> list:
-    """All prime powers q <= q_max, q = 1 mod 6, whose c(1, 2) is odd.
+    """All prime powers q = p**a <= q_max, q = 1 mod 6, whose c(1, 2) is odd.
 
-    c is always computed directly; the sufficient parity condition is only
-    cross-checked (it implies oddness but is not necessary for it).
+    c is always computed directly and cross-checked against the paper's order
+    condition, which decides it: with n and e from `order_profile`, c(1, 2) is
+    even exactly when 2 is a cube in GF(q) (`c3_parity_even`), that is when
+    2**((q-1)/3) = 1, when 3n divides p**a - 1, when e divides a. So c is odd
+    exactly when e > 1 and e does not divide a (e = 1 divides every a).
     """
     records = []
     for p, a, q, _, ctx in _fields(q_max, 3):
         c = cyclotomic_number(ctx, 1, 2)
         n, e = order_profile(p)
-        guaranteed = e > 1 and a % e != 0
-        if guaranteed and c % 2 == 0:
-            raise AssertionError(f"parity condition violated at q={q}: c={c}")
+        if (c % 2 == 1) != (a % e != 0):
+            raise AssertionError(f"parity law violated at q={q}: c={c}, e={e}, a={a}")
         if c % 2 == 1:
             l = (c + 1) // 2
-            records.append(SearchRecordM2(p, a, q, n, e, c, l, *graph_size(l, 2, q), odd_guaranteed=guaranteed))
+            records.append(SearchRecordM2(p, a, q, n, e, c, l, *graph_size(l, 2, q)))
     return records
 
 

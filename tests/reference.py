@@ -28,12 +28,12 @@ from regclique.graphcore import Graph
 
 def to_sets(graph):
     """Adjacency sets of a regclique Graph, extracted via the public API."""
-    return [set(graph.neighbours(v)) for v in range(graph.n)]
+    return [set(graph.neighbours(v).tolist()) for v in range(graph.n)]
 
 
 def edge_list(graph):
     """All edges (u, v) of a regclique Graph with u < v, lexicographically ascending."""
-    return [(u, v) for u in range(graph.n) for v in graph.neighbours(u) if u < v]
+    return [(u, v) for u in range(graph.n) for v in graph.neighbours(u).tolist() if u < v]
 
 
 def _digits(field, x):
@@ -282,7 +282,7 @@ def naive_translation_failure(gp, graph):
 
     Every row is translated and sorted once per generator, all rows at once.
     """
-    adj = np.array([graph.neighbours(u) for u in range(graph.n)], dtype=np.int64).reshape(graph.n, -1)
+    adj = np.array([graph.neighbours(u).tolist() for u in range(graph.n)], dtype=np.int64).reshape(graph.n, -1)
     translate = translator(gp)
     for e in group_generators(gp):
         perm = translate(e)
@@ -299,10 +299,10 @@ def naive_translation_witness(gp, graph):
     Each vertex is decoded and row 0 translated by it, one vertex at a time.
     """
     translate = translator(gp)
-    row0 = list(graph.neighbours(0))
+    row0 = graph.neighbours(0).tolist()
     for u in range(graph.n):
         e = decode_vertex(gp, u)
-        if sorted(translate(e)[row0].tolist()) != list(graph.neighbours(u)):
+        if sorted(translate(e)[row0].tolist()) != graph.neighbours(u).tolist():
             return e, u
     return None
 

@@ -133,8 +133,8 @@ def test_criterion_2_m2_family_sweep(m2_sweep):
 
 
 def test_criterion_3_parity_condition_consistency():
-    with criterion(3, "odd c(1,2) whenever the order conditions hold, q <= 10^4"):
-        checked = 0
+    with criterion(3, "odd c(1,2) exactly when the order conditions hold, q <= 10^4"):
+        checked = extension_fields = 0
         for q, p, a in prime_powers(10_000):
             if q % 6 != 1:
                 continue
@@ -145,10 +145,15 @@ def test_criterion_3_parity_condition_consistency():
             # cross-check: parity criterion (2 in class 0) against the direct count
             assert c3_parity_even(ctx) == (c % 2 == 0), f"parity criterion disagrees at q={q}"
             n, e = order_profile(p)
-            if e > 1 and a % e != 0:
+            condition = e > 1 and a % e != 0
+            if condition:
                 assert c % 2 == 1, f"expected odd c at q={q}, got {c}"
                 checked += 1
+            # and the converse: an odd c only where the condition holds
+            assert (c % 2 == 1) == condition, f"odd c at q={q} = {p}^{a} with e = {e}"
+            extension_fields += a > 1
         assert checked > 100  # the condition is non-vacuous in range
+        assert extension_fields > 10
 
 
 def test_criterion_4_cyclotomic_identity_suites():

@@ -1,6 +1,7 @@
 import argparse
 import decimal
 import hashlib
+import io
 import json
 import os
 import resource
@@ -15,6 +16,7 @@ from regclique import cli, errors, fields, numtheory
 from regclique.cli import main
 from regclique.construction import VERTEX_BYTES, check_graph_fits
 from regclique.errors import GraphTooLarge
+from regclique.graphcore import Graph
 
 from reference import edge_list
 
@@ -201,6 +203,22 @@ def test_export_edges_round_trip(capsys, tmp_path, x1):
     lines = path.read_text().splitlines()
     assert lines[0] == "0 7"  # the smallest encoded connection-set element
     assert [tuple(map(int, line.split())) for line in lines] == edge_list(x1[3])
+
+
+IRREGULAR_GRAPHS = {
+    "isolated": (6, [(0, 2), (0, 3), (2, 3), (3, 4)]),  # vertices 1 and 5 have no neighbour
+    "no-higher": (5, [(0, 1), (0, 2), (1, 2), (0, 4), (3, 4)]),  # 2 has only lower neighbours
+}
+
+
+@pytest.mark.parametrize("n,edges", list(IRREGULAR_GRAPHS.values()), ids=list(IRREGULAR_GRAPHS))
+def test_writers_match_a_naive_formatter_on_irregular_graphs(n, edges):
+    g = Graph.from_edges(n, edges)
+    formats = ((cli.write_dimacs, f"p edge {n} {len(edges)}\n", "e ", 1), (cli.write_edge_list, "", "", 0))
+    for writer, header, prefix, base in formats:
+        fh = io.StringIO()
+        writer(g, fh)
+        assert fh.getvalue() == header + "".join(f"{prefix}{u + base} {v + base}\n" for u, v in edge_list(g))
 
 
 def test_cyclotab_q7_n3(capsys):

@@ -46,11 +46,20 @@ def test_five_cycle():
 def test_degree_and_neighbours():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
     assert [g.degree(v) for v in range(4)] == [2, 1, 2, 1]
-    assert g.neighbours(0) == (1, 2)
-    assert g.neighbours(3) == (2,)
+    assert g.neighbours(0).tolist() == [1, 2]
+    assert g.neighbours(3).tolist() == [2]
     assert edge_list(g) == [(0, 1), (0, 2), (2, 3)]
     with pytest.raises(IndexOutOfRange):
         g.degree(4)
+
+
+def test_neighbours_is_a_read_only_view_of_the_indices(x1):
+    for g in (Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)]), x1[3]):
+        row = g.neighbours(0)
+        assert row.dtype == np.int32 and np.shares_memory(row, g.indices)
+        with pytest.raises(ValueError):
+            row[0] = 3
+        assert g.has_edge(0, int(row[0]))
 
 
 def test_common_neighbours_errors():

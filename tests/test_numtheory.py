@@ -92,6 +92,15 @@ def test_order_profile():
     assert order_profile(5) == (4, 2)
     with pytest.raises(NotCoprime):
         order_profile(3)
+    with pytest.raises(NotCoprime):
+        order_profile(2)
+
+
+def test_order_profile_takes_e_from_three_powers():
+    # e = ord_3n(p) lies in {1, 2, 3}: checked against the order found by factoring
+    for p in primes_up_to(100_000)[2:]:
+        n, e = order_profile(p)
+        assert e == multiplicative_order(p, 3 * n), f"p = {p}"
 
 
 def test_cube_residue_follows_from_congruence():
@@ -116,7 +125,7 @@ def test_search_m2_first_record():
     r = records[0]
     assert (r.p, r.a, r.q, r.c, r.l) == (7, 1, 7, 1, 1)
     assert (r.n_vertices, r.k, r.lam) == (28, 9, 2)
-    assert r.odd_guaranteed  # e = 3 > 1 and a = 1 is not 0 mod 3
+    assert (r.ord2_n, r.exp_order_e) == (3, 3)  # e = 3 > 1 does not divide a = 1: c is odd
     assert r.summary() == "m=2 p=7 a=1 q=7 c=1 l=1 N=28 k=9 lambda=2"
 
 
